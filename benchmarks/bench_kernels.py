@@ -1,10 +1,12 @@
-"""Times the grid kernels on both execution paths.
+"""Times the grid kernels on the execution paths this machine has.
 
-Run `python benchmarks/bench_kernels.py`; it forks itself with
-FLOERMINI_DISABLE_NUMBA=1 to time the pure-numpy fallback and prints a
-side-by-side table.  The exact-arithmetic engine is deliberately absent
-here: rational arithmetic gains nothing from jitting, only the dense
-grid scans of the Morse/Cerf layer do.
+Run `PYTHONPATH=src python benchmarks/bench_kernels.py`.  Each table is
+labelled by the path `_kernels` actually selected.  When numba is in use
+the script forks itself with FLOERMINI_DISABLE_NUMBA=1 to time the numpy
+fallback as well; without numba there is only the numpy table.  The
+exact-arithmetic engine is deliberately absent here: rational arithmetic
+gains nothing from jitting, only the dense grid scans of the Morse/Cerf
+layer do.
 """
 
 import os
@@ -15,7 +17,7 @@ import time
 import numpy as np
 
 
-def bench(label):
+def bench():
     from floermini import _kernels
 
     n = 1 << 14
@@ -36,19 +38,21 @@ def bench(label):
         _kernels.min_positive_combination(1.0, 2 ** 0.5, 400)
     rows.append(("min_positive_combination", 801 ** 2, 5, time.perf_counter() - t0))
 
-    print(f"# {label} (numba={'on' if _kernels.USE_NUMBA else 'off'})")
+    print(f"# {'numba' if _kernels.USE_NUMBA else 'numpy'} path")
     for name, size, r, dt in rows:
         print(f"{name:28s} size={size:<9d} reps={r:<4d} total={dt * 1e3:8.1f} ms")
     return rows
 
 
 def main():
-    if os.environ.get("FLOERMINI_DISABLE_NUMBA"):
-        bench("numpy fallback")
-        return
-    bench("numba path")
-    env = dict(os.environ, FLOERMINI_DISABLE_NUMBA="1")
-    subprocess.run([sys.executable, __file__], env=env, check=True)
+    from floermini import _kernels
+
+    bench()
+    if _kernels.USE_NUMBA:
+        env = dict(os.environ, FLOERMINI_DISABLE_NUMBA="1")
+        subprocess.run([sys.executable, __file__], env=env, check=True)
+    elif not os.environ.get("FLOERMINI_DISABLE_NUMBA"):
+        print("# numba is not installed: no numba path to time")
 
 
 if __name__ == "__main__":

@@ -85,6 +85,7 @@ class MorseCerfFamily:
         self.grid = np.linspace(0.0, 1.0, self.eta_points)
         self._diagram = None
         self._complexes: dict = {}
+        self._slices: dict = {}
 
     # -- parameter bookkeeping ---------------------------------------------------
 
@@ -104,17 +105,23 @@ class MorseCerfFamily:
     # -- slices ------------------------------------------------------------
 
     def function_at(self, s: float) -> MorseFunction1D:
-        eta = self.root_eta(float(s))
+        """Slice at slot s (cached): the walker, its event bisection, the
+        grid complexes and the crossing search share one detection per s.
+        A slice keeps its critical points and mean, never a sample grid."""
+        s = float(s)
+        if s not in self._slices:
+            eta = self.root_eta(s)
 
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return np.zeros_like(t) + self._f(t, eta)
+            def f(t):
+                t = np.asarray(t, dtype=float)
+                return np.zeros_like(t) + self._f(t, eta)
 
-        def fp(t):
-            t = np.asarray(t, dtype=float)
-            return np.zeros_like(t) + self._fp_theta(t, eta)
+            def fp(t):
+                t = np.asarray(t, dtype=float)
+                return np.zeros_like(t) + self._fp_theta(t, eta)
 
-        return MorseFunction1D(f, fp, N=self.theta_points)
+            self._slices[s] = MorseFunction1D(f, fp, N=self.theta_points)
+        return self._slices[s]
 
     def complex_at(self, i: int):
         """Morse complex report at grid index i (cached)."""
@@ -163,17 +170,19 @@ class MorseCerfFamily:
         m = self.eta_points - 1
         width = (Fraction(hi) - Fraction(lo)) / m
         thetas = np.arange(self.theta_points) * (TWO_PI / self.theta_points)
+
+        def extrema(e):
+            vals = self._eta_derivative(thetas, e)
+            vals = vals - vals.mean()  # per-slice mean-zero normalization
+            return Fraction(float(vals.min())), Fraction(float(vals.max()))
+
+        # interval ends are shared: e1 of interval i is e0 of interval i + 1
+        ends = [extrema(lo + (hi - lo) * (i / m)) for i in range(m + 1)]
         out = []
         for i in range(m):
             e0 = lo + (hi - lo) * (i / m)
             e1 = lo + (hi - lo) * ((i + 1) / m)
-            mins = []
-            maxs = []
-            for e in (e0, 0.5 * (e0 + e1), e1):
-                vals = self._eta_derivative(thetas, e)
-                vals = vals - vals.mean()  # per-slice mean-zero normalization
-                mins.append(Fraction(float(vals.min())))
-                maxs.append(Fraction(float(vals.max())))
+            mins, maxs = zip(ends[i], extrema(0.5 * (e0 + e1)), ends[i + 1])
             neg = (-min(mins) + (max(mins) - min(mins))) * width
             pos = (max(maxs) + (max(maxs) - min(maxs))) * width
             out.append((neg, pos))

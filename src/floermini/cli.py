@@ -16,11 +16,11 @@ from pathlib import Path
 
 from . import __version__
 from .action import ActionValue
-from .cerf import bifurcation_diagram, classify_events
+from .cerf import classify_events
 from .config import RunConfig
 from .continuation import (
     classify_entries,
-    continuation_map,
+    compose_step_maps,
     dichotomy_constant,
     rho_curve,
     step_maps,
@@ -30,7 +30,7 @@ from .errors import ConfigError, FloerminiError, NonCerfError, ValidationFailure
 from .hofer import gamma as hofer_gamma
 from .morse import build_circle_valued, build_s1_morse
 from .render import render_curve_svg, render_diagram_svg
-from .spectral import check_spectrality, rho
+from .spectral import rho, spectrality_certificate
 
 
 def _json_bytes(obj) -> bytes:
@@ -70,9 +70,15 @@ class Runner:
             self._family = self.cfg.build_family()
         return self._family
 
+    def eta_grid(self) -> int:
+        """Eta points of the family the run used, else the configured grid."""
+        if self._family is not None:
+            return len(self._family.grid)
+        return self.cfg.eta_grid
+
     def diagram(self):
         if self._diagram is None:
-            self._diagram = bifurcation_diagram(self.family())
+            self._diagram = self.family().diagram()
         return self._diagram
 
     def source_complex(self):
@@ -97,7 +103,7 @@ class Runner:
         results = []
         for c in classes:
             res = rho(X, c)
-            cert = check_spectrality(X, c)
+            cert = spectrality_certificate(X, res)
             entry = res.to_json()
             entry["spectral"] = bool(cert.ok)
             results.append(entry)
@@ -145,7 +151,8 @@ class Runner:
 
     def task_continuation(self):
         fam = self.family()
-        h = continuation_map(fam)
+        steps = step_maps(fam)
+        h = compose_step_maps(steps)
         vb = variation_bounds(fam)
         a0 = dichotomy_constant(fam)
         eps = ActionValue.rational(
@@ -164,7 +171,7 @@ class Runner:
         if a0 > eps + eps:
             thin = slides = 0
             violations = []
-            for step in step_maps(fam):
+            for step in steps:
                 cls = classify_entries(step, a0, eps)
                 thin += len(cls.thin)
                 slides += len(cls.slides)
@@ -317,10 +324,8 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
         return 1
     if seed is not None:
         raw["seed"] = seed
-    if grid is not None:
-        raw.setdefault("grid", {})["eta"] = grid
     try:
-        cfg = RunConfig(raw)
+        cfg = RunConfig(raw, eta_grid=grid)
     except ConfigError as e:
         _error("schema", str(e))
         return 1
@@ -341,7 +346,7 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
     report = {
         "engine_version": __version__,
         "config_hash": hashlib.sha256(raw_bytes).hexdigest(),
-        "grid": {"theta": cfg.theta_grid, "eta": cfg.eta_grid},
+        "grid": {"theta": cfg.theta_grid, "eta": runner.eta_grid()},
         "seed": cfg.seed,
         "tolerances": cfg.tolerances,
         "results": runner.report,

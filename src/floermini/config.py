@@ -30,7 +30,10 @@ DEFAULT_TOLERANCES = {
 
 
 class RunConfig:
-    def __init__(self, raw: Mapping):
+    """Validated run settings.  `eta_grid`, when given (the CLI's --grid),
+    overrides both the config's grid.eta and a family's eta_points."""
+
+    def __init__(self, raw: Mapping, eta_grid=None):
         if not isinstance(raw, Mapping):
             raise ConfigError("config root must be a JSON object")
         self.raw = raw
@@ -49,7 +52,8 @@ class RunConfig:
         if not isinstance(grid, Mapping):
             raise ConfigError("field 'grid' must be an object")
         self.theta_grid = int(grid.get("theta", DEFAULT_GRID))
-        self.eta_grid = int(grid.get("eta", DEFAULT_ETA_GRID))
+        self.eta_forced = eta_grid is not None
+        self.eta_grid = int(eta_grid if self.eta_forced else grid.get("eta", DEFAULT_ETA_GRID))
         self.eps = Fraction(str(raw.get("eps", 1)))
         self.classes = raw.get("classes", "all")
         self.out = raw.get("out")
@@ -102,9 +106,10 @@ class RunConfig:
         if kind == "closed_form":
             if "expr" not in spec:
                 raise ConfigError("closed_form family needs 'expr'")
+            eta_points = int(spec.get("eta_points", self.eta_grid))
             return MorseCerfFamily(
                 spec["expr"],
-                eta_points=int(spec.get("eta_points", self.eta_grid)),
+                eta_points=self.eta_grid if self.eta_forced else eta_points,
                 theta_points=int(spec.get("theta_points", self.theta_grid)),
             )
         if kind == "abstract":

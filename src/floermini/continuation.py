@@ -32,6 +32,7 @@ __all__ = [
     "ChainHomotopy",
     "variation_bounds",
     "continuation_map",
+    "compose_step_maps",
     "step_maps",
     "glue_maps",
     "classify_entries",
@@ -393,7 +394,11 @@ def _abstract_step_maps(fam: AbstractCerfFamily, reverse=False) -> list:
 
 def continuation_map(fam) -> ChainMap:
     """Composite continuation map of the whole family, left to right."""
-    maps = step_maps(fam)
+    return compose_step_maps(step_maps(fam))
+
+
+def compose_step_maps(maps) -> ChainMap:
+    """Composite of per-interval maps in traversal order, verified."""
     if not maps:
         raise EventError("family has no intervals")
     h = maps[0]
@@ -707,50 +712,27 @@ def tightness_transfer_check(fam, cls, start_index: int) -> TightnessReport:
         return fam.complex_at(i).complex if fam.is_morse else fam.complexes[i]
 
     X0 = complex_at(start_index)
-    res, candidates = _tight_cycles_at(X0, cls)
-    del res
+    _, candidates = _tight_cycles_at(X0, cls)
     failures = []
+    # each direction's maps are built and verified once, for every candidate
+    fwd = step_maps(fam) if start_index < n - 1 else []
+    bwd = step_maps(fam, reverse=True) if start_index > 0 else []
+    # bwd is ordered from the top interval downward
+    right = (range(start_index, n), fwd[start_index:])
+    left = (range(start_index, -1, -1), bwd[n - 1 - start_index:])
 
-    def _transfer_chain(fam, alpha, i0, i1):
-        if i1 == i0:
-            return alpha
-        if i1 > i0:
-            maps = step_maps(fam)
-            cur = alpha
-            for i in range(i0, i1):
-                cur = maps[i].apply(cur)
-            return cur
-        maps = step_maps(fam, reverse=True)
+    def stays_tight(alpha, indices, maps):
         cur = alpha
-        for i in range(i0 - 1, i1 - 1, -1):
-            cur = maps[n - 2 - i].apply(cur)
-        return cur
+        for k, i in enumerate(indices):
+            if k:
+                cur = maps[k - 1].apply(cur)
+            X = complex_at(i)
+            if X.level(cur) != rho(X, cur).value:
+                return False
+        return True
 
-    right = list(range(start_index, n))
-    left = list(range(start_index, -1, -1))
-    alpha_plus = alpha_minus = None
-    for alpha in candidates:
-        ok = True
-        for i in right:
-            X = complex_at(i)
-            transferred = _transfer_chain(fam, alpha, start_index, i)
-            if X.level(transferred) != rho(X, transferred).value:
-                ok = False
-                break
-        if ok:
-            alpha_plus = alpha
-            break
-    for alpha in candidates:
-        ok = True
-        for i in left:
-            X = complex_at(i)
-            transferred = _transfer_chain(fam, alpha, start_index, i)
-            if X.level(transferred) != rho(X, transferred).value:
-                ok = False
-                break
-        if ok:
-            alpha_minus = alpha
-            break
+    alpha_plus = next((a for a in candidates if stays_tight(a, *right)), None)
+    alpha_minus = next((a for a in candidates if stays_tight(a, *left)), None)
     if alpha_plus is None:
         failures.append("no candidate stays tight on the right")
     if alpha_minus is None:

@@ -111,6 +111,7 @@ class MorseFunction1D:
         self.expr = expr
         self.samples = samples
         self._crit = None
+        self._mean = None
 
     # -- constructors -------------------------------------------------------
 
@@ -196,9 +197,11 @@ class MorseFunction1D:
         return np.arange(self.N) * (TWO_PI / self.N)
 
     def periodic_mean(self) -> float:
-        g = self.grid()
-        vals = self._f(g) + (float(self.drift) / TWO_PI) * g
-        return float(np.mean(vals))
+        if self._mean is None:
+            g = self.grid()
+            vals = self._f(g) + (float(self.drift) / TWO_PI) * g
+            self._mean = float(np.mean(vals))
+        return self._mean
 
     # -- critical points ---------------------------------------------------------
 
@@ -207,44 +210,66 @@ class MorseFunction1D:
             self._crit = self._detect()
         return self._crit
 
-    def _refine(self, lo: float, hi: float) -> float:
-        flo = float(self._fp(lo))
-        if flo == 0.0:
-            return lo
-        while hi - lo > THETA_TOLERANCE:
-            mid = 0.5 * (lo + hi)
-            fmid = float(self._fp(mid))
-            if fmid == 0.0:
-                return mid
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def _refine_cells(self, lo: np.ndarray, flo: np.ndarray) -> np.ndarray:
+        """Bisect every cell [lo, lo + h] to a zero of the derivative at once.
+
+        flo holds the derivative at lo.  Each cell stops on its own at an
+        exact zero or once narrower than THETA_TOLERANCE, so every theta is
+        the one a cell-by-cell bisection would return.
+        """
+        hi = lo + TWO_PI / self.N
+        lo = lo.copy()
+        rising = flo > 0  # lo only moves to points where f' keeps this sign
+        theta = lo.copy()  # an exact zero at lo stands as it is
+        act = np.nonzero(flo != 0.0)[0]
+        while True:
+            wide = hi[act] - lo[act] > THETA_TOLERANCE
+            done = act[~wide]
+            theta[done] = 0.5 * (lo[done] + hi[done])
+            act = act[wide]
+            if not act.size:
+                break
+            mid = 0.5 * (lo[act] + hi[act])
+            fmid = self._fp(mid)
+            zero = fmid == 0.0
+            theta[act[zero]] = mid[zero]
+            act, mid, fmid = act[~zero], mid[~zero], fmid[~zero]
+            same = (fmid > 0) == rising[act]
+            lo[act[same]] = mid[same]
+            hi[act[~same]] = mid[~same]
+        return theta
 
     def _detect(self) -> list:
         g = self.grid()
         h = TWO_PI / self.N
+        margin = (2.0 / self.N) * h
         deriv = self._fp(g)
         if not np.all(np.isfinite(deriv)):
             raise MorseError("derivative evaluation failed")
-        cells, flags = _kernels.critical_cells(deriv, (2.0 / self.N) * h)
+        cells, flags = _kernels.critical_cells(deriv, margin)
         if len(cells) == 0:
             raise MorseError("no critical points detected after normalization")
         bad = [int(c) for c, ok in zip(cells, flags) if not ok]
         if bad:
             raise MorseError(f"degeneracy within margin at cells {bad}")
+        # two crossings through one grid point where f' barely leaves zero:
+        # a degenerate critical point sampled as a max/min pair
+        shared = (cells + 1) % self.N
+        touching = shared[(np.roll(cells, -1) == shared) & (np.abs(deriv[shared]) < margin)]
+        if touching.size:
+            raise MorseError(
+                f"degenerate critical point at theta={g[touching[0]]:.9f}: "
+                "f' touches zero on the grid"
+            )
         mean = _quantize(self.periodic_mean())
+        thetas = self._refine_cells(g[cells], deriv[cells])
+        raws = self._f(thetas)
         out = []
-        for c in cells:
-            lo = g[int(c)]
-            hi = lo + h
-            theta = self._refine(lo, hi)
-            raw = float(self._f(theta))
+        for c, theta, raw in zip(cells, thetas, raws):
             # derivative falls through zero at a maximum of f
-            index = 0 if deriv[int(c)] > deriv[(int(c) + 1) % self.N] else 1
-            value = _quantize(raw) - mean
-            out.append(CriticalPoint(theta, value, index, raw))
+            index = 0 if deriv[c] > deriv[(c + 1) % self.N] else 1
+            raw = float(raw)
+            out.append(CriticalPoint(theta, _quantize(raw) - mean, index, raw))
         if self.drift == 0:
             zeros = sum(1 for p in out if p.index == 0)
             ones = len(out) - zeros

@@ -35,6 +35,7 @@ __all__ = [
     "SpectralityCertificate",
     "rho",
     "check_spectrality",
+    "spectrality_certificate",
     "bounded_boundary_solve",
     "boundary_overhead_constant",
     "peak_avoidance_check",
@@ -109,7 +110,11 @@ def rho(X: FilteredComplex, cls) -> SpectralResult:
 
 def check_spectrality(X: FilteredComplex, cls) -> SpectralityCertificate:
     """Exact membership of rho in the action spectrum plus a peak witness."""
-    res = rho(X, cls)
+    return spectrality_certificate(X, rho(X, cls))
+
+
+def spectrality_certificate(X: FilteredComplex, res: SpectralResult) -> SpectralityCertificate:
+    """Certificate for a rho value already computed on X."""
     spec = X.spectrum()
     witness = spec.witness(res.value)
     orbit, cap = res.witness

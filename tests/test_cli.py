@@ -135,6 +135,66 @@ class TestRun:
         code = main(["run", str(GOLDEN / "hofer_cos.json"), "--out", str(tmp_path)])
         assert code == 0
 
+    def test_grid_flag_overrides_family_eta_points(self, tmp_path):
+        for flag, eta in ((None, 65), (129, 129)):  # bd_diagram.json says 65
+            out = tmp_path / str(eta)
+            argv = ["run", str(GOLDEN / "bd_diagram.json"), "--out", str(out)]
+            assert main(argv + (["--grid", str(flag)] if flag else [])) == 0
+            rep = json.loads((out / "report.json").read_text())
+            assert rep["grid"]["eta"] == eta
+            assert rep["results"]["rho_curve"]["samples"] == eta
+            assert len((out / "rho_curve.csv").read_text().splitlines()) == eta + 1
+
+    def test_one_scan_per_slice(self, tmp_path, monkeypatch):
+        """One run builds the diagram and the step maps once, and detects
+        the critical points of each distinct slice at most once."""
+        import sys
+
+        from floermini import cerf, continuation
+        from floermini.morse import MorseFunction1D
+
+        calls = {"diagram": 0, "step_maps": 0, "detect": 0}
+        slots = set()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def count_everywhere(key, fn):
+            """Count calls through every floermini module that holds fn."""
+            wrapper = counted(key, fn)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("floermini"):
+                    for attr, value in list(vars(mod).items()):
+                        if value is fn:
+                            monkeypatch.setattr(mod, attr, wrapper)
+
+        function_at = cerf.MorseCerfFamily.function_at
+
+        def recorded_function_at(fam, s):
+            slots.add(float(s))
+            return function_at(fam, s)
+
+        count_everywhere("diagram", cerf.bifurcation_diagram)
+        count_everywhere("step_maps", continuation.step_maps)
+        monkeypatch.setattr(MorseFunction1D, "_detect", counted("detect", MorseFunction1D._detect))
+        monkeypatch.setattr(cerf.MorseCerfFamily, "function_at", recorded_function_at)
+        cfg = {
+            "family": {"kind": "closed_form",
+                       "expr": "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)",
+                       "eta_points": 17, "theta_points": 4096},
+            "tasks": ["diagram", "rho_curve", "continuation"],
+            "classes": ["point"],
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 0
+        assert calls["diagram"] == 1
+        assert calls["step_maps"] == 1
+        assert 17 <= calls["detect"] <= len(slots)
+
     def test_ghost_translates_render_dashed(self, tmp_path):
         cfg = {
             "period_group": {"generators": [{"rational": "1/2"}], "c1": [0]},

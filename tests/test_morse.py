@@ -1,12 +1,17 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from floermini import _kernels
 from floermini.action import ActionValue, make_period_group
+from floermini.cerf import MorseCerfFamily
 from floermini.complexes import NovikovChain
 from floermini.errors import MorseError, PairingError
 from floermini.morse import (
     DecoratedClass,
+    THETA_TOLERANCE,
     MorseFunction1D,
     build_circle_valued,
     build_s1_morse,
@@ -48,6 +53,19 @@ class TestDetection:
         for bad in ("exp(theta)", "tan(theta)", "theta**(-1)", "x + 1", "1/theta"):
             with pytest.raises(MorseError):
                 MorseFunction1D.closed_form(bad)
+
+    def test_degenerate_point_on_grid_raises_morse_error(self):
+        # g' and g'' vanish at 3pi/2, grid index 3072 of 4096, where g'
+        # evaluates to about +1.8e-16 between two negative neighbours
+        expr = (
+            "-5/8*cos(theta) + 3/8*sin(theta) + 3/4*cos(2*theta) + 5/8*sin(2*theta)"
+            " - 5/8*cos(3*theta) + 3/8*sin(3*theta)"
+        )
+        f = MorseFunction1D.closed_form(expr, N=4096)
+        with pytest.raises(MorseError, match=r"theta=4\.71238898"):
+            f.critical_points()
+        with pytest.raises(MorseError):
+            build_s1_morse(f)
 
 
 class TestBuildS1:
@@ -203,3 +221,67 @@ class TestSmallMorse:
         res = rho_small_morse(f, eps, "point", dec)
         assert res.valid
         assert res.value == ActionValue(Fraction(-1, 4))  # 0 + (-eps * max f)
+
+
+def _reference_thetas(f):
+    """Cell-by-cell scalar bisection, one 0-d derivative call per step."""
+    g = f.grid()
+    h = 2 * math.pi / f.N
+    cells, _ = _kernels.critical_cells(f._fp(g), (2.0 / f.N) * h)
+    out = []
+    for c in cells:
+        lo = g[c]
+        hi = lo + h
+        flo = float(f._fp(lo))
+        theta = lo if flo == 0.0 else None
+        while theta is None and hi - lo > THETA_TOLERANCE:
+            mid = 0.5 * (lo + hi)
+            fmid = float(f._fp(mid))
+            if fmid == 0.0:
+                theta = mid
+            elif (fmid > 0) == (flo > 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi) if theta is None else theta)
+    return out
+
+
+def _shifted_sine(c, N=4096):
+    """-cos(theta - c): f' = sin(theta - c) is exactly 0 at theta = c."""
+    return MorseFunction1D(
+        lambda t: -np.cos(np.asarray(t, dtype=float) - c),
+        lambda t: np.sin(np.asarray(t, dtype=float) - c),
+        N=N,
+    )
+
+
+_H = 2 * math.pi / 4096
+_GRID_POINT = 1000 * _H
+_MIDPOINT = 0.5 * (_GRID_POINT + (_GRID_POINT + _H))
+_BD = "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)"
+_BD_CUSP = 0.670534  # birth cusp of _BD, from its diagram at 33 x 4096
+
+
+@pytest.mark.parametrize(
+    "make, exact",
+    [
+        (lambda: _shifted_sine(_GRID_POINT), _GRID_POINT),
+        (lambda: _shifted_sine(_MIDPOINT), _MIDPOINT),  # first bisection step
+        (lambda: MorseFunction1D.closed_form("cos(theta)", N=4096), 0.0),
+        (lambda: MorseCerfFamily(_BD, theta_points=4096).function_at(_BD_CUSP + 1e-7), None),
+        (lambda: MorseFunction1D.closed_form("cos(theta) + 1/4*sin(2*theta)",
+                                            drift=Fraction(1, 2)), None),
+        (lambda: MorseFunction1D.from_samples(np.cos(np.arange(512) * (2 * np.pi / 512) + 0.3)),
+         None),
+    ],
+    ids=["grid-zero", "midpoint-zero", "cos", "near-cusp", "drift", "samples"],
+)
+def test_array_refinement_matches_scalar_bisection(make, exact):
+    f = make()
+    crit = f.critical_points()
+    ref = _reference_thetas(f)
+    assert [p.theta for p in crit] == ref  # bitwise, not within a tolerance
+    assert [p.raw_value for p in crit] == [float(f._f(t)) for t in ref]
+    if exact is not None:  # the exact zero of f' is returned as it is
+        assert exact in ref
