@@ -393,9 +393,6 @@ class PeriodGroup:
             coeffs.append(int(x))
         return tuple(coeffs)
 
-    def contains_omega(self, target: ActionValue) -> bool:
-        return self.cap_with_omega(target) is not None
-
     def __eq__(self, other):
         return (
             isinstance(other, PeriodGroup)
@@ -615,11 +612,6 @@ class NovikovScalar:
     def is_finite(self) -> bool:
         return self.den == {self.group.zero_cap: Fraction(1)}
 
-    @property
-    def exact_window(self):
-        """Every window is materializable from the fraction presentation."""
-        return POS_INFINITY
-
     # -- field arithmetic ------------------------------------------------------
 
     def _check(self, other: "NovikovScalar"):
@@ -732,10 +724,6 @@ class NovikovScalar:
             acc = {c: v for c, v in acc.items() if self.group.omega(c) <= window}
             if not acc:
                 return out
-
-    def truncated(self, window) -> "NovikovScalar":
-        """Finite scalar agreeing with self on all terms at or below window."""
-        return NovikovScalar(self.group, self.terms_below(window))
 
     # -- presentation --------------------------------------------------------
 

@@ -264,10 +264,6 @@ class Branch:
     def domain(self):
         return self.etas[0], self.etas[-1]
 
-    def value_near(self, eta: float) -> float:
-        i = min(range(len(self.etas)), key=lambda j: abs(self.etas[j] - eta))
-        return self.values[i]
-
     def theta_near(self, eta: float) -> float:
         i = min(range(len(self.etas)), key=lambda j: abs(self.etas[j] - eta))
         return self.thetas[i]
@@ -328,11 +324,6 @@ class CerfDiagram:
 # ---------------------------------------------------------------------------
 # diagram construction
 # ---------------------------------------------------------------------------
-
-
-def _crit_levels(f: MorseFunction1D):
-    """Critical data as (theta, action value float, index)."""
-    return [(p.theta, -float(p.value), p.index) for p in f.critical_points()]
 
 
 def _try_pairing(c_lo, c_hi):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .action import ActionValue, NEG_INFINITY, NovikovScalar
+from .action import ActionValue, NovikovScalar
 from .cerf import AbstractCerfFamily, ConcatFamily, MorseCerfFamily, concat
 from .complexes import FilteredComplex, NovikovChain
 from .errors import ChainMapError, EventError, NotACycleError
@@ -147,14 +147,6 @@ class ChainMap:
         tgt, src = key
         u = self.entries[key]
         return (self.target.weight(tgt) - u.valuation()) - self.source.weight(src)
-
-    def shifts(self) -> dict:
-        return {k: self.entry_shift(k) for k in self.entries}
-
-    def max_shift(self):
-        if not self.entries:
-            return NEG_INFINITY
-        return max(self.shifts().values())
 
     def to_json(self) -> list:
         out = []
@@ -300,13 +292,20 @@ def step_maps(fam, reverse=False) -> list:
 
 
 def _morse_step_maps(fam: MorseCerfFamily, reverse=False) -> list:
+    """Step maps along the grid, or back along it when reverse is set.
+
+    Walking an interval backwards swaps its ends, and a cusp's birth
+    becomes a death and vice versa.
+    """
     d = fam.diagram()
     grid = fam.grid
+    order = range(len(grid) - 2, -1, -1) if reverse else range(len(grid) - 1)
     maps = []
-    for i in range(len(grid) - 1):
-        X = fam.complex_at(i).complex
-        Y = fam.complex_at(i + 1).complex
-        lo_t, hi_t = d.tracks[i], d.tracks[i + 1]
+    for i in order:
+        src, dst = (i + 1, i) if reverse else (i, i + 1)
+        X = fam.complex_at(src).complex
+        Y = fam.complex_at(dst).complex
+        lo_t, hi_t = d.tracks[src], d.tracks[dst]
         cusps = [c for c in d.cusps if grid[i] < c.eta < grid[i + 1]]
         if len(cusps) > 1:
             raise EventError("refine the grid: two cusps in one interval")
@@ -318,7 +317,7 @@ def _morse_step_maps(fam: MorseCerfFamily, reverse=False) -> list:
             plus_b, minus_b = c.branches
             if c.indices[0] != 1:
                 plus_b, minus_b = minus_b, plus_b
-            if c.kind == "birth":
+            if (c.kind == "birth") != reverse:
                 table = {lo_t[b]: hi_t[b] for b in lo_t}
                 h = _birth_map(X, Y, table, hi_t[plus_b], hi_t[minus_b])
             else:
@@ -326,30 +325,6 @@ def _morse_step_maps(fam: MorseCerfFamily, reverse=False) -> list:
                 h = _death_map(X, Y, table, lo_t[plus_b], lo_t[minus_b])
         h.verify()
         maps.append(h)
-    if reverse:
-        rev = []
-        for i in range(len(grid) - 2, -1, -1):
-            X = fam.complex_at(i + 1).complex
-            Y = fam.complex_at(i).complex
-            lo_t, hi_t = d.tracks[i + 1], d.tracks[i]
-            cusps = [c for c in d.cusps if grid[i] < c.eta < grid[i + 1]]
-            if not cusps:
-                table = {lo_t[b]: hi_t[b] for b in lo_t}
-                h = _pairing_map(X, Y, table)
-            else:
-                c = cusps[0]
-                plus_b, minus_b = c.branches
-                if c.indices[0] != 1:
-                    plus_b, minus_b = minus_b, plus_b
-                if c.kind == "birth":  # reversed: the pair dies
-                    table = {lo_t[b]: hi_t[b] for b in lo_t if b in hi_t}
-                    h = _death_map(X, Y, table, lo_t[plus_b], lo_t[minus_b])
-                else:
-                    table = {lo_t[b]: hi_t[b] for b in lo_t}
-                    h = _birth_map(X, Y, table, hi_t[plus_b], hi_t[minus_b])
-            h.verify()
-            rev.append(h)
-        return rev
     return maps
 
 

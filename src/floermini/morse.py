@@ -165,19 +165,35 @@ class MorseFunction1D:
         return cls(f, fp, N=N, drift=drift, samples=values)
 
     # -- algebra on closed forms ------------------------------------------------
+    # negated() and added() reuse the parents' callables: no sympy diff or
+    # lambdify, while expr keeps the closed form for rotated() and reports.
 
     def negated(self) -> "MorseFunction1D":
-        if self.expr is not None:
-            return MorseFunction1D.closed_form(-self.expr, N=self.N, drift=-self.drift)
-        return MorseFunction1D.from_samples(-self.samples, drift=-self.drift)
+        if self.expr is None:
+            return MorseFunction1D.from_samples(-self.samples, drift=-self.drift)
+        f, fp = self._f, self._fp
+        out = MorseFunction1D(
+            lambda t: -f(t), lambda t: -fp(t), N=self.N, drift=-self.drift, expr=-self.expr
+        )
+        if self._crit is not None:
+            # every step of _detect commutes with negation: the grid scan,
+            # the a == 0 -> -b rule, bisection, the pairwise mean and
+            # round-half-even quantization; maxima and minima swap
+            out._crit = [
+                CriticalPoint(p.theta, -p.value, 1 - p.index, -p.raw_value)
+                for p in self._crit
+            ]
+        return out
 
     def added(self, other: "MorseFunction1D") -> "MorseFunction1D":
-        if self.expr is not None and other.expr is not None:
-            return MorseFunction1D.closed_form(
-                self.expr + other.expr, N=max(self.N, other.N),
-                drift=self.drift + other.drift,
-            )
-        raise MorseError("sum requires closed forms")
+        if self.expr is None or other.expr is None:
+            raise MorseError("sum requires closed forms")
+        f1, fp1, f2, fp2 = self._f, self._fp, other._f, other._fp
+        return MorseFunction1D(
+            lambda t: f1(t) + f2(t), lambda t: fp1(t) + fp2(t),
+            N=max(self.N, other.N), drift=self.drift + other.drift,
+            expr=self.expr + other.expr,
+        )
 
     def rotated(self, phi: float) -> "MorseFunction1D":
         if self.expr is None:
@@ -583,8 +599,8 @@ def rho_small_morse(f: MorseFunction1D, eps, cls, decorations: DecoratedClass | 
 
     Valid when eps * (max f - min f) stays below the top decoration gap;
     the returned value is the top decoration level plus the mini-max of
-    -eps*f over cycles in the class, and it is asserted against the
-    engine's value on the decorated complex.
+    -eps*f over cycles in the class, and it is checked against the
+    engine's value on the decorated complex (MorseError on a mismatch).
     """
     eps = Fraction(eps)
     report = build_s1_morse(f, eps)
@@ -608,7 +624,11 @@ def rho_small_morse(f: MorseFunction1D, eps, cls, decorations: DecoratedClass | 
     # cross-check against the engine on the decorated complex
     if decorations is None:
         engine_value = engine_rho(report.complex, rep).value
-        assert engine_value == minimax
+        if engine_value != minimax:
+            raise MorseError(
+                f"small-function mini-max {minimax!r} disagrees with the engine's"
+                f" rho {engine_value!r}"
+            )
     else:
         G = decorations.group
         orbits = [Orbit(o.id, o.level, o.index) for o in report.complex.orbits]
@@ -631,5 +651,9 @@ def rho_small_morse(f: MorseFunction1D, eps, cls, decorations: DecoratedClass | 
             },
         )
         engine_value = engine_rho(XG, dec_rep).value
-        assert engine_value == value, (engine_value, value)
+        if engine_value != value:
+            raise MorseError(
+                f"decorated small-function value {value!r} disagrees with the"
+                f" engine's rho {engine_value!r}"
+            )
     return SmallMorseResult(value, True, minimax, shift, condition)

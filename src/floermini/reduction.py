@@ -160,9 +160,3 @@ def combination(coeffs: list, reduced: list, attr: str = "companion") -> Vector:
         if c is not None and not c.is_zero():
             out = vec_add(out, vec_scale(getattr(r, attr), c))
     return out
-
-
-def minimize_against(v: Vector, reduced: list, weight) -> Vector:
-    """Level-minimal element of v + span(reduced); greedy pivot elimination."""
-    residual, _ = reduce_vector(v, reduced, weight)
-    return residual

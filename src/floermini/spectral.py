@@ -251,8 +251,16 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
                 adjusted_vec, {k: s.scale(-a) for k, s in shifted.items()}
             )
     adjusted = NovikovChain(X.group, adjusted_vec)
-    assert X.level(adjusted) == value
-    assert all(oid not in marked for oid, _ in X.peaks(adjusted))
+    level = X.level(adjusted)
+    if level != value:
+        raise ComplexStructureError(
+            f"peak-avoiding cycle sits at level {level!r}, not at rho = {value!r}"
+        )
+    pinned = sorted({oid for oid, _ in X.peaks(adjusted)} & set(marked))
+    if pinned:
+        raise ComplexStructureError(
+            f"peak-avoiding cycle still peaks at marked orbits {pinned}"
+        )
     return True, adjusted
 
 

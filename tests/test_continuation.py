@@ -305,6 +305,23 @@ class TestTransfer:
             X = fam.complex_at(i + 1).complex
             assert all(oid not in pair for oid, _ in X.peaks(cur))
 
+    def test_reverse_step_maps_build_only_reverse_maps(self, monkeypatch):
+        fam = MorseCerfFamily(BD_FAMILY, eta_points=65, theta_points=4096)
+        fam.diagram()
+        verified = []
+        real = ChainMap.verify
+
+        def counting(h):
+            verified.append(h)
+            return real(h)
+
+        monkeypatch.setattr(ChainMap, "verify", counting)
+        maps = step_maps(fam, reverse=True)
+        assert len(maps) == 64
+        assert verified == maps
+        assert maps[0].source is fam.complex_at(64).complex
+        assert maps[-1].target is fam.complex_at(0).complex
+
     def test_mu_curve_csv_rows(self):
         fam = MorseCerfFamily("cos(theta)", eta_points=5)
         curve = transfer_level_curve(fam.complex_at(0).class_chain("point"), fam, 0)

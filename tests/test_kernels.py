@@ -26,6 +26,9 @@ print(json.dumps({
 
 def _run(disable: bool):
     env = dict(os.environ)
+    # the child imports the same floermini as this process, installed or not
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     if disable:
         env["FLOERMINI_DISABLE_NUMBA"] = "1"
     else:

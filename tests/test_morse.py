@@ -1,10 +1,14 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from floermini import _kernels
+from floermini import _kernels, morse
 from floermini.action import ActionValue, make_period_group
 from floermini.cerf import MorseCerfFamily
 from floermini.complexes import NovikovChain
@@ -285,3 +289,167 @@ def test_array_refinement_matches_scalar_bisection(make, exact):
     assert [p.raw_value for p in crit] == [float(f._f(t)) for t in ref]
     if exact is not None:  # the exact zero of f' is returned as it is
         assert exact in ref
+
+
+# -- algebra on closed forms ---------------------------------------------------
+
+
+def _trig(rng):
+    terms = []
+    for k in (1, 2, 3):
+        a, b = Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(-8, 8), 8)
+        terms.append(f"({a})*cos({k}*theta) + ({b})*sin({k}*theta)")
+    return " + ".join(terms)
+
+
+def _crit_or_none(f):
+    try:
+        return f.critical_points()
+    except MorseError:
+        return None
+
+
+def _algebra_cases(drift, count=8, N=4096):
+    """Seeded trig pairs (f, g, references) whose reference closed forms
+    -f, f + g and f - g are all Morse on the grid."""
+    rng = random.Random(f"algebra:{drift}")
+    out = []
+    while len(out) < count:
+        f = MorseFunction1D.closed_form(_trig(rng), N=N, drift=drift)
+        g = MorseFunction1D.closed_form(_trig(rng), N=N, drift=drift)
+        refs = {
+            "neg": MorseFunction1D.closed_form(-f.expr, N=N, drift=-drift),
+            "sum": MorseFunction1D.closed_form(f.expr + g.expr, N=N, drift=2 * drift),
+            "diff": MorseFunction1D.closed_form(f.expr - g.expr, N=N, drift=0),
+        }
+        if all(_crit_or_none(r) for r in [f, g, *refs.values()]):
+            out.append((f, g, refs))
+    return out
+
+
+def _same_critical_points(got, ref):
+    assert [(p.value, p.index) for p in got] == [(p.value, p.index) for p in ref]
+    assert all(abs(p.theta - q.theta) <= 1e-9 for p, q in zip(got, ref))
+
+
+@pytest.mark.parametrize("drift", [Fraction(0), Fraction(1, 3)], ids=["periodic", "drift"])
+def test_algebra_matches_fresh_closed_forms(drift):
+    for f, g, refs in _algebra_cases(drift):
+        for got, ref in (
+            (f.negated(), refs["neg"]),
+            (f.added(g), refs["sum"]),
+            (f.added(g.negated()), refs["diff"]),
+        ):
+            assert got.drift == ref.drift and got.N == ref.N
+            assert got.expr == ref.expr
+            _same_critical_points(got.critical_points(), ref.critical_points())
+
+
+@pytest.mark.parametrize("drift", [Fraction(0), Fraction(1, 3)], ids=["periodic", "drift"])
+def test_negation_copies_a_fresh_detection_bit_for_bit(drift):
+    for f, _, _ in _algebra_cases(drift, count=4):
+        fresh = MorseFunction1D.closed_form(f.expr, N=f.N, drift=drift).negated()
+        copied = f.negated()  # f has detected its critical points already
+        assert copied._crit is not None
+        assert [(p.theta, p.value, p.index, p.raw_value) for p in copied.critical_points()] == [
+            (p.theta, p.value, p.index, p.raw_value) for p in fresh.critical_points()
+        ]
+
+
+def test_negation_of_a_detected_function_does_not_detect(monkeypatch):
+    f = MorseFunction1D.closed_form("cos(theta) + 2/5*sin(2*theta)", N=4096)
+    undetected = MorseFunction1D.closed_form("cos(theta) + 2/5*sin(2*theta)", N=4096)
+    crit = f.critical_points()
+    calls = []
+    real = MorseFunction1D._detect
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MorseFunction1D, "_detect", spy)
+    neg = f.negated().critical_points()
+    assert calls == []
+    assert [(p.theta, p.value, p.index) for p in neg] == [
+        (p.theta, -p.value, 1 - p.index) for p in crit
+    ]
+    undetected.negated().critical_points()  # nothing to copy: detects once
+    assert len(calls) == 1
+
+
+def test_sampled_negation_and_sum():
+    values = np.cos(np.arange(512) * (2 * np.pi / 512) + 0.3)
+    f = MorseFunction1D.from_samples(values)
+    neg = f.negated()
+    assert neg.expr is None
+    ref = MorseFunction1D.from_samples(-values).critical_points()
+    assert [(p.theta, p.value, p.index) for p in neg.critical_points()] == [
+        (p.theta, p.value, p.index) for p in ref
+    ]
+    closed = MorseFunction1D.closed_form("cos(theta)", N=512)
+    for a, b in ((f, closed), (closed, f), (f, f)):
+        with pytest.raises(MorseError, match="closed forms"):
+            a.added(b)
+
+
+# -- cross-checks raise typed errors --------------------------------------------
+
+
+class _Shifted:
+    """Stands in for a SpectralResult whose value is off by one."""
+
+    def __init__(self, value):
+        self.value = value + ActionValue(1)
+
+
+def _disagreeing_engine(monkeypatch):
+    real = morse.engine_rho
+    monkeypatch.setattr(morse, "engine_rho", lambda X, cls: _Shifted(real(X, cls).value))
+
+
+def test_small_morse_mismatch_raises_morse_error(monkeypatch):
+    _disagreeing_engine(monkeypatch)
+    f = MorseFunction1D.closed_form("cos(theta)")
+    with pytest.raises(MorseError, match=r"mini-max -1 .* rho 0"):
+        rho_small_morse(f, 1, "point")
+
+
+def test_decorated_small_morse_mismatch_raises_morse_error(monkeypatch):
+    _disagreeing_engine(monkeypatch)
+    dec = DecoratedClass(make_period_group([1], [0]), [(0,), (1,)])
+    f = MorseFunction1D.closed_form("cos(theta)")
+    with pytest.raises(MorseError, match=r"value -1/4 .* rho 3/4"):
+        rho_small_morse(f, Fraction(1, 4), "point", dec)
+
+
+_UNDER_O = r"""
+import sys
+from floermini import morse
+from floermini.action import ActionValue
+from floermini.errors import MorseError
+
+class Shifted:
+    def __init__(self, value):
+        self.value = value + ActionValue(1)
+
+real = morse.engine_rho
+morse.engine_rho = lambda X, cls: Shifted(real(X, cls).value)
+f = morse.MorseFunction1D.closed_form("cos(theta)", N=1024)
+try:
+    morse.rho_small_morse(f, 1, "point")
+except MorseError:
+    print("optimize", sys.flags.optimize, "raised")
+else:
+    print("optimize", sys.flags.optimize, "silent")
+"""
+
+
+def test_small_morse_mismatch_raises_under_python_O():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(morse.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["optimize", "1", "raised"]

@@ -4,7 +4,8 @@ import pytest
 
 from floermini.action import ActionValue, NEG_INFINITY, NovikovScalar, make_period_group
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
-from floermini.errors import NotABoundaryError, ZeroClassError
+from floermini import spectral
+from floermini.errors import ComplexStructureError, NotABoundaryError, ZeroClassError
 from floermini.spectral import (
     boundary_overhead_constant,
     bounded_boundary_solve,
@@ -185,3 +186,48 @@ class TestPeakAvoidance:
         peaks = dict(X.peaks(cycle))
         assert "zminus" not in peaks and "zplus" not in peaks
         assert "p" in peaks
+
+
+def _adjusted_case(G):
+    """dz+ = z- + p at equal levels: the tight cycle z- peaks at z-, and
+    the equal-level correction moves it to -p."""
+    orbits = [Orbit("zminus", 1, 0), Orbit("p", 1, 0), Orbit("zplus", 2, 1)]
+    boundary = {
+        "zplus": {"zminus": NovikovScalar.one(G), "p": NovikovScalar.one(G)}
+    }
+    X = FilteredComplex(G, orbits, boundary)
+    cls = NovikovChain.unit(G, "zminus")
+    assert rho(X, cls).tight_cycle == cls
+    return X, cls
+
+
+class TestPeakAvoidanceErrors:
+    def test_adjusted_case_is_adjusted(self, trivial_group):
+        X, cls = _adjusted_case(trivial_group)
+        assert peak_avoidance_check(X, cls, ["zplus", "zminus"]) == (
+            True, NovikovChain.unit(trivial_group, "p", coeff=-1)
+        )
+
+    def test_level_mismatch_raises_typed_error(self, trivial_group, monkeypatch):
+        X, cls = _adjusted_case(trivial_group)
+        real_rho = spectral.rho
+
+        def rho_then_shift_levels(X, cls):
+            res = real_rho(X, cls)
+            monkeypatch.setattr(
+                FilteredComplex, "level", lambda self, ch, degree=None: res.value + 1
+            )
+            return res
+
+        monkeypatch.setattr(spectral, "rho", rho_then_shift_levels)
+        with pytest.raises(ComplexStructureError, match=r"level 2, not at rho = 1"):
+            peak_avoidance_check(X, cls, ["zplus", "zminus"])
+
+    def test_marked_peak_raises_typed_error(self, trivial_group, monkeypatch):
+        X, cls = _adjusted_case(trivial_group)
+        # a zero correction leaves the tight cycle peaking at z-
+        monkeypatch.setattr(
+            spectral, "_solve_rational", lambda cols, target: [Fraction(0)] * len(cols)
+        )
+        with pytest.raises(ComplexStructureError, match=r"marked orbits \['zminus'\]"):
+            peak_avoidance_check(X, cls, ["zplus", "zminus"])
