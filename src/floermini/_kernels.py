@@ -1,81 +1,25 @@
-"""Grid-scan kernels with an optional numba fast path and a numpy fallback.
+"""Grid-scan kernel of the Morse/Cerf layer, vectorized with numpy.
 
-The exact-arithmetic core of the package gains nothing from jitting, but
-the Morse/Cerf layer scans dense sample grids (critical cells per family
-slice, subgroup density searches).  Those inner loops are compiled with
-numba when it is installed (the `numba` extra) and FLOERMINI_DISABLE_NUMBA
-is unset; otherwise vectorized numpy stands in, with the same results.
-`benchmarks/bench_kernels.py` times both paths.
+The exact-arithmetic core of the package works on Python objects; only
+the dense sample grids of a family slice are scanned here.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("FLOERMINI_DISABLE_NUMBA", "") == ""
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # numba is an optional extra; fall back to numpy
-        USE_NUMBA = False
+def critical_cells(deriv: np.ndarray, margin: float):
+    """Indices i where the periodic derivative changes sign on (i, i+1).
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _critical_cells_nb(deriv, margin):
-        n = deriv.shape[0]
-        cells = np.empty(n, dtype=np.int64)
-        flags = np.empty(n, dtype=np.int64)
-        count = 0
-        for i in range(n):
-            a = deriv[i]
-            b = deriv[(i + 1) % n]
-            if a == 0.0:
-                a = -b  # grid point exactly critical: treat as crossing
-            if a * b < 0.0:
-                curv = b - a
-                cells[count] = i
-                ok = 1 if abs(curv) >= margin else 0
-                flags[count] = ok
-                count += 1
-        return cells[:count], flags[:count]
-
-    def critical_cells(deriv: np.ndarray, margin: float):
-        """Indices i where the periodic derivative changes sign on (i, i+1).
-
-        Second array flags cells whose discrete curvature clears `margin`.
-        """
-        return _critical_cells_nb(np.ascontiguousarray(deriv, dtype=np.float64), margin)
-
-    @njit(cache=True)
-    def min_positive_combination(v1, v2, bound):
-        """min |m*v1 + n*v2| > 0 over integer m, n with |m|, |n| <= bound."""
-        best = np.inf
-        for m in range(-bound, bound + 1):
-            for n in range(-bound, bound + 1):
-                x = abs(m * v1 + n * v2)
-                if 0.0 < x < best:
-                    best = x
-        return best
-
-else:
-
-    def critical_cells(deriv: np.ndarray, margin: float):
-        deriv = np.asarray(deriv, dtype=np.float64)
-        a = deriv.copy()
-        b = np.roll(deriv, -1)
-        a[a == 0.0] = -b[a == 0.0]
-        mask = a * b < 0.0
-        cells = np.nonzero(mask)[0]
-        curv = b[cells] - a[cells]
-        flags = (np.abs(curv) >= margin).astype(np.int64)
-        return cells.astype(np.int64), flags
-
-    def min_positive_combination(v1: float, v2: float, bound: int) -> float:
-        m = np.arange(-bound, bound + 1, dtype=np.float64)
-        grid = np.abs(m[:, None] * v1 + m[None, :] * v2)
-        grid = grid[grid > 0.0]
-        return float(grid.min()) if grid.size else float("inf")
+    Second array flags cells whose discrete curvature clears `margin`.
+    """
+    deriv = np.asarray(deriv, dtype=np.float64)
+    a = deriv.copy()
+    b = np.roll(deriv, -1)
+    a[a == 0.0] = -b[a == 0.0]  # grid point exactly critical: treat as crossing
+    mask = a * b < 0.0
+    cells = np.nonzero(mask)[0]
+    curv = b[cells] - a[cells]
+    flags = (np.abs(curv) >= margin).astype(np.int64)
+    return cells.astype(np.int64), flags

@@ -51,8 +51,8 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+    # anything else is refused, floats included: Fraction(0.1) is the binary
+    # float 3602879701896397/2**55, not 1/10
     raise ConstantClassError(f"not an exact rational: {x!r}")
 
 
@@ -366,8 +366,6 @@ class PeriodGroup:
         if target.d and self.d and target.d != self.d:
             raise BasisMismatchError("membership query over a different sqrt base")
         coeffs = []
-        rat = [v.q for v in self.values]
-        irr = [v.r for v in self.values]
         # values are independent: solve one rational equation per basis line
         coords = {}
         for i, v in enumerate(self.values):
@@ -375,7 +373,6 @@ class PeriodGroup:
                 coords["q"] = (i, v.q)
             else:
                 coords["r"] = (i, v.r)
-        del rat, irr
         sol = [Fraction(0)] * self.rank
         if "q" in coords:
             i, base = coords["q"]

@@ -74,18 +74,11 @@ class NovikovChain:
         return bool(self.coeffs)
 
     def __add__(self, other: "NovikovChain") -> "NovikovChain":
-        return NovikovChain(self.group, reduction.vec_add(self.coeffs, other.coeffs))
+        out = reduction.vec_axpy(dict(self.coeffs), None, other.coeffs)
+        return NovikovChain(self.group, out)
 
     def __sub__(self, other: "NovikovChain") -> "NovikovChain":
-        out = dict(self.coeffs)
-        for k, s in other.coeffs.items():
-            t = out.get(k)
-            t = -s if t is None else t - s
-            if t.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = t
-        return NovikovChain(self.group, out)
+        return self + (-other)
 
     def __neg__(self):
         return NovikovChain(self.group, {k: -s for k, s in self.coeffs.items()})
@@ -270,17 +263,7 @@ class FilteredComplex:
     def boundary_of(self, chain: NovikovChain) -> NovikovChain:
         out: dict = {}
         for src, u in chain.coeffs.items():
-            row = self.boundary.get(src)
-            if not row:
-                continue
-            for tgt, e in row.items():
-                add = u * e
-                t = out.get(tgt)
-                t = add if t is None else t + add
-                if t.is_zero():
-                    out.pop(tgt, None)
-                else:
-                    out[tgt] = t
+            reduction.vec_axpy(out, u, self.boundary.get(src, {}))
         return NovikovChain(self.group, out)
 
     def is_cycle(self, chain: NovikovChain) -> bool:
@@ -329,11 +312,8 @@ class FilteredComplex:
         return reduced
 
     def cycle_basis(self, degree: int):
-        reduced, kernel = self.elimination(degree)
-        pivot_ids = []  # orbits not hit as elimination sources stay independent
-        cycles = [NovikovChain(self.group, k) for k in kernel]
-        del pivot_ids
-        return cycles
+        _, kernel = self.elimination(degree)
+        return [NovikovChain(self.group, k) for k in kernel]
 
     # -- homology ------------------------------------------------------------
 
@@ -347,7 +327,7 @@ class FilteredComplex:
                 for cyc in self.cycle_basis(k):
                     res, _ = reduce_vector(cyc.coeffs, boundaries, self.weight)
                     if res:
-                        reps.append((res, dict(res)))
+                        reps.append((res, res))
                 independent, _ = orthogonalize(reps, self.weight)
                 for i, r in enumerate(independent):
                     classes.append(

@@ -20,9 +20,8 @@ from .reduction import (
     combination,
     orthogonalize,
     reduce_vector,
-    vec_add,
+    vec_axpy,
     vec_level,
-    vec_scale,
 )
 from .spectral import rho
 
@@ -77,14 +76,36 @@ def variation_bounds(fam) -> VariationBounds:
     return VariationBounds(fam.variation_contributions())
 
 
-class ChainMap:
+class _SparseMap:
+    """Sparse scalar matrix (target id, source id) -> NovikovScalar.
+
+    `entries` is fixed at construction; `apply` reads a per-source column
+    view of it that is built once.
+    """
+
+    def __init__(self, source: FilteredComplex, target: FilteredComplex, entries=None):
+        self.source = source
+        self.target = target
+        self.entries = {k: v for k, v in (entries or {}).items() if not v.is_zero()}
+        self._columns: dict = {}
+        for (tgt, src), u in self.entries.items():
+            self._columns.setdefault(src, {})[tgt] = u
+
+    def apply(self, chain: NovikovChain) -> NovikovChain:
+        out: dict = {}
+        for src, c in chain.coeffs.items():
+            col = self._columns.get(src)
+            if col:
+                vec_axpy(out, c, col)
+        return NovikovChain(self.target.group, out)
+
+
+class ChainMap(_SparseMap):
     """Degree-zero map between complexes as a sparse scalar matrix."""
 
     def __init__(self, source: FilteredComplex, target: FilteredComplex,
                  entries=None, provenance=None):
-        self.source = source
-        self.target = target
-        self.entries = {k: v for k, v in (entries or {}).items() if not v.is_zero()}
+        super().__init__(source, target, entries)
         self.provenance = provenance or {}
 
     @staticmethod
@@ -92,21 +113,6 @@ class ChainMap:
         one = NovikovScalar.one(X.group)
         ent = {(o.id, o.id): one for o in X.orbits}
         return ChainMap(X, X, ent, {k: "pairing" for k in ent})
-
-    def apply(self, chain: NovikovChain) -> NovikovChain:
-        out: dict = {}
-        for (tgt, src), u in self.entries.items():
-            c = chain.coeffs.get(src)
-            if c is None:
-                continue
-            add = u * c
-            t = out.get(tgt)
-            t = add if t is None else t + add
-            if t.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = t
-        return NovikovChain(self.target.group, out)
 
     def compose_after(self, first: "ChainMap") -> "ChainMap":
         """self o first."""
@@ -160,28 +166,8 @@ class ChainMap:
         return out
 
 
-class ChainHomotopy:
+class ChainHomotopy(_SparseMap):
     """Degree +1 correction with the total-variation level bound."""
-
-    def __init__(self, source, target, entries=None):
-        self.source = source
-        self.target = target
-        self.entries = {k: v for k, v in (entries or {}).items() if not v.is_zero()}
-
-    def apply(self, chain: NovikovChain) -> NovikovChain:
-        out: dict = {}
-        for (tgt, src), u in self.entries.items():
-            c = chain.coeffs.get(src)
-            if c is None:
-                continue
-            add = u * c
-            t = out.get(tgt)
-            t = add if t is None else t + add
-            if t.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = t
-        return NovikovChain(self.target.group, out)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -415,18 +401,10 @@ def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
     ]
     columns = []
     for (t, s) in unknowns:
-        col: dict = {}
         # d_Y o E_{t,s}
-        for t2, c in Y.boundary.get(t, {}).items():
-            key = (t2, s)
-            col[key] = col[key] + c if key in col else c
+        col = {(t2, s): c for t2, c in Y.boundary.get(t, {}).items()}
         # E_{t,s} o d_X: x contributes when d_X x hits s
-        for src, row in X.boundary.items():
-            c = row.get(s)
-            if c is not None:
-                key = (t, src)
-                col[key] = col[key] + c if key in col else c
-        col = {k: v for k, v in col.items() if not v.is_zero()}
+        vec_axpy(col, None, {(t, src): row[s] for src, row in X.boundary.items() if s in row})
         unit = NovikovScalar.one(X.group)
         columns.append((col, {(t, s): unit}))
     weight = _hom_weight(X, Y)
@@ -435,7 +413,7 @@ def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
     if residual:
         raise ChainMapError("maps are not chain homotopic")
     hvec = combination(coeffs, reduced)
-    kernel_basis, _ = orthogonalize([(k, dict(k)) for k in kernel], weight)
+    kernel_basis, _ = orthogonalize([(k, k) for k in kernel], weight)
     hvec, _ = reduce_vector(hvec, kernel_basis, weight)
     H = ChainHomotopy(X, Y, hvec)
     H.verify_identity(direct, composed)
@@ -667,7 +645,7 @@ def _tight_cycles_at(X, cls):
         if cap is None:
             continue
         mono = NovikovScalar.monomial(X.group, cap)
-        cand = vec_add(res.tight_cycle.coeffs, vec_scale(r.vec, mono))
+        cand = vec_axpy(dict(res.tight_cycle.coeffs), mono, r.vec)
         cand_chain = NovikovChain(X.group, cand)
         if not cand_chain.is_zero() and X.level(cand_chain) == res.value:
             out.append(cand_chain)

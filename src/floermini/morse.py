@@ -375,7 +375,7 @@ def build_s1_morse(f: MorseFunction1D, eps=1) -> MorseComplexReport:
         one = NovikovScalar.one(group)
         row[nxt] = one
         row[prv] = row[prv] - one if prv in row else -one
-        boundary[f"c{i}"] = {t: s for t, s in row.items() if not s.is_zero()}
+        boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
     X = FilteredComplex(group, orbits, boundary)
     return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
 
@@ -425,7 +425,7 @@ def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
             tgt, cap = neighbor(k - 1, -1)
         s = NovikovScalar.monomial(group, cap, -1)
         row[tgt] = row[tgt] + s if tgt in row else s
-        boundary[f"c{i}"] = {t: s for t, s in row.items() if not s.is_zero()}
+        boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
     X = FilteredComplex(group, orbits, boundary)
     return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
 

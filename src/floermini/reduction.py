@@ -11,6 +11,10 @@ realizing its vector's level.  Such a family is level-orthogonal:
 so greedy pivot elimination against it computes exact distances to the
 spanned subspace.  Pivot ties break toward the smaller coordinate in the
 supplied order, which fixes the output for golden tests.
+
+`vec_axpy` (out += coef * v in place, zeros dropped) is the one
+accumulate primitive: chain sums, boundaries, chain-map applications and
+elimination steps all go through it.
 """
 
 from __future__ import annotations
@@ -22,33 +26,21 @@ from .action import NEG_INFINITY, NovikovScalar
 Vector = dict  # coordinate -> NovikovScalar
 
 
-def vec_is_zero(v: Vector) -> bool:
-    return not v
+def vec_axpy(out: Vector, coef: NovikovScalar | None, v: Vector) -> Vector:
+    """out += coef * v in place, dropping zeros; coef None adds v unscaled.
 
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for k, s in b.items():
+    Returns out.  v is only read.
+    """
+    for k, s in v.items():
+        if coef is not None:
+            s = coef * s
         t = out.get(k)
-        t = s if t is None else t + s
-        if t.is_zero():
+        if t is not None:
+            s = t + s
+        if s.is_zero():
             out.pop(k, None)
         else:
-            out[k] = t
-    return out
-
-
-def vec_sub_scaled(a: Vector, coef: NovikovScalar, b: Vector) -> Vector:
-    """a - coef * b."""
-    out = dict(a)
-    for k, s in b.items():
-        t = out.get(k)
-        delta = coef * s
-        t = -delta if t is None else t - delta
-        if t.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = t
+            out[k] = s
     return out
 
 
@@ -117,16 +109,16 @@ def orthogonalize(
     reduced: list[Reduced] = []
     kernel: list = []
     for vec, comp in columns:
-        vec = dict(vec)
+        # private copies, updated in place: callers' dicts stay untouched
+        vec, comp = dict(vec), dict(comp)
         for r in reduced:
             s = vec.get(r.pivot)
             if s is not None:
-                t = s / r.vec[r.pivot]
-                vec = vec_sub_scaled(vec, t, r.vec)
-                comp = vec_sub_scaled(comp, t, r.companion)
-                vec.pop(r.pivot, None)
-        if vec_is_zero(vec):
-            if not vec_is_zero(comp):
+                t = -(s / r.vec[r.pivot])
+                vec_axpy(vec, t, r.vec)
+                vec_axpy(comp, t, r.companion)
+        if not vec:
+            if comp:
                 kernel.append(comp)
             continue
         reduced.append(Reduced(_peak_pivot(vec, weight, order), vec, comp))
@@ -147,8 +139,7 @@ def reduce_vector(v: Vector, reduced: list, weight=None):
             coeffs.append(None)
             continue
         t = s / r.vec[r.pivot]
-        v = vec_sub_scaled(v, t, r.vec)
-        v.pop(r.pivot, None)
+        vec_axpy(v, -t, r.vec)
         coeffs.append(t)
     return v, coeffs
 
@@ -158,5 +149,5 @@ def combination(coeffs: list, reduced: list, attr: str = "companion") -> Vector:
     out: Vector = {}
     for c, r in zip(coeffs, reduced):
         if c is not None and not c.is_zero():
-            out = vec_add(out, vec_scale(getattr(r, attr), c))
+            vec_axpy(out, c, getattr(r, attr))
     return out

@@ -25,7 +25,7 @@ from .reduction import (
     combination,
     orthogonalize,
     reduce_vector,
-    vec_add,
+    vec_axpy,
     vec_level,
     vec_scale,
 )
@@ -124,7 +124,7 @@ def spectrality_certificate(X: FilteredComplex, res: SpectralResult) -> Spectral
 
 def _kernel_basis(X: FilteredComplex, degree: int):
     cycles = X.cycle_basis(degree)
-    reduced, _ = orthogonalize([(c.coeffs, dict(c.coeffs)) for c in cycles], X.weight)
+    reduced, _ = orthogonalize([(c.coeffs, c.coeffs) for c in cycles], X.weight)
     return reduced
 
 
@@ -247,9 +247,7 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
     adjusted_vec = dict(res.tight_cycle.coeffs)
     for a, (shifted, _) in zip(sol, adjusters):
         if a:
-            adjusted_vec = vec_add(
-                adjusted_vec, {k: s.scale(-a) for k, s in shifted.items()}
-            )
+            vec_axpy(adjusted_vec, None, {k: s.scale(-a) for k, s in shifted.items()})
     adjusted = NovikovChain(X.group, adjusted_vec)
     level = X.level(adjusted)
     if level != value:

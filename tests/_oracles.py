@@ -4,13 +4,24 @@ Everything here is plain rational linear algebra on lifted generators
 with caps restricted to a finite box; no valuation-pivoted reduction is
 used, so agreement with the engine is a genuine cross-check.  The box
 bound is certified by recomputing with an enlarged box and demanding the
-same answer.
+same answer.  `min_positive_combination` is the float-grid search that
+shows a rank-2 period group is dense.
 """
 
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from floermini.action import NEG_INFINITY, ActionValue
+
+
+def min_positive_combination(v1: float, v2: float, bound: int) -> float:
+    """min |m*v1 + n*v2| > 0 over integer m, n with |m|, |n| <= bound."""
+    m = np.arange(-bound, bound + 1, dtype=np.float64)
+    grid = np.abs(m[:, None] * v1 + m[None, :] * v2)
+    grid = grid[grid > 0.0]
+    return float(grid.min()) if grid.size else float("inf")
 
 
 def _cap_box(rank, bound):

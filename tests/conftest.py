@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# fixed example order and no example database: every run draws the same inputs
+settings.register_profile("floermini", derandomize=True, database=None, deadline=None)
+settings.load_profile("floermini")
 
 from fractions import Fraction
 

@@ -22,6 +22,7 @@ from floermini.errors import (
     RankMismatchError,
     ZeroScalarError,
 )
+from _oracles import min_positive_combination
 
 
 def sqrt2(scale=1):
@@ -95,8 +96,6 @@ class TestPeriodGroup:
         g = make_period_group([ActionValue(1), sqrt2()], [0, 0])
         assert g.is_dense and not g.is_discrete
         # oracle: best |m + n sqrt2| over |m|,|n| <= 50 dips below 0.03
-        from floermini._kernels import min_positive_combination
-
         best = min_positive_combination(1.0, math.sqrt(2.0), 50)
         assert best < 0.03
 
@@ -128,6 +127,18 @@ class TestPeriodGroup:
             make_period_group([ActionValue(1, 1, 2)], [0])
         with pytest.raises(ConstantClassError):
             ActionValue.sqrt(4)
+
+    def test_binary_floats_rejected(self):
+        # Fraction(0.1) is the binary float 3602879701896397/2**55, not 1/10
+        g = make_period_group([1], [0])
+        with pytest.raises(ConstantClassError):
+            NovikovScalar.monomial(g, (0,), 0.1)
+        with pytest.raises(ConstantClassError):
+            ActionValue(0.1)
+        with pytest.raises(ConstantClassError):
+            ActionValue(0, 0.5, 2)
+        with pytest.raises(ConstantClassError):
+            NovikovScalar.one(g).scale(0.5)
 
     def test_rank_mismatch(self):
         g = make_period_group([1], [0])

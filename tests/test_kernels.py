@@ -1,43 +1,7 @@
-import importlib.util
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 
+from _oracles import min_positive_combination
 from floermini import _kernels
-
-SCRIPT = r"""
-import json, numpy as np
-from floermini import _kernels
-theta = np.arange(1 << 12) * (2*np.pi / (1 << 12))
-deriv = -np.sin(theta) - 0.6*np.sin(2*theta + 0.5)
-cells, flags = _kernels.critical_cells(deriv, 1e-4)
-best = _kernels.min_positive_combination(1.0, 2**0.5, 50)
-print(json.dumps({
-    "numba": _kernels.USE_NUMBA,
-    "cells": [int(c) for c in cells],
-    "flags": [int(f) for f in flags],
-    "best": best,
-}))
-"""
-
-
-def _run(disable: bool):
-    env = dict(os.environ)
-    # the child imports the same floermini as this process, installed or not
-    src = os.path.dirname(os.path.dirname(_kernels.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    if disable:
-        env["FLOERMINI_DISABLE_NUMBA"] = "1"
-    else:
-        env.pop("FLOERMINI_DISABLE_NUMBA", None)
-    out = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def _reference_critical_cells(deriv, margin):
@@ -55,22 +19,13 @@ def _reference_critical_cells(deriv, margin):
     return cells, flags
 
 
-def test_fallback_selected_by_env_flag():
-    fast = _run(False)
-    slow = _run(True)
-    # numba is an optional extra: the default path uses it only if importable
-    assert fast["numba"] is (importlib.util.find_spec("numba") is not None)
-    assert slow["numba"] is False
-    assert fast["cells"] == slow["cells"]
-    assert fast["flags"] == slow["flags"]
-    assert fast["best"] == slow["best"]
-    # without numba both runs take the numpy path, so also check an
-    # independent loop on the same grid as SCRIPT
+def test_critical_cells_matches_reference_on_smooth_grid():
     theta = np.arange(1 << 12) * (2 * np.pi / (1 << 12))
     deriv = -np.sin(theta) - 0.6 * np.sin(2 * theta + 0.5)
-    cells, flags = _reference_critical_cells(deriv.tolist(), 1e-4)
-    assert cells and fast["cells"] == cells and slow["cells"] == cells
-    assert fast["flags"] == flags and slow["flags"] == flags
+    cells, flags = _kernels.critical_cells(deriv, 1e-4)
+    expect = _reference_critical_cells(deriv.tolist(), 1e-4)
+    assert expect[0]
+    assert ([int(c) for c in cells], [int(f) for f in flags]) == expect
 
 
 def test_critical_cells_matches_reference_on_edge_cases():
@@ -86,5 +41,5 @@ def test_critical_cells_matches_reference_on_edge_cases():
 
 def test_dense_subgroup_search_value():
     # best |m + n sqrt2| for |m|,|n| <= 50 is 41 - 29 sqrt2
-    best = _kernels.min_positive_combination(1.0, np.sqrt(2.0), 50)
+    best = min_positive_combination(1.0, np.sqrt(2.0), 50)
     assert abs(best - abs(41 - 29 * np.sqrt(2.0))) < 1e-9
