@@ -555,6 +555,13 @@ class NovikovScalar:
             raise ZeroScalarError("zero denominator")
         self.num, self.den = self._normalized(self.num, den)
 
+    @classmethod
+    def _reduced(cls, group: PeriodGroup, num: dict, den: dict) -> "NovikovScalar":
+        """A scalar from a num/den pair already in reduced form, as is."""
+        out = object.__new__(cls)
+        out.group, out.num, out.den = group, num, den
+        return out
+
     def _leading(self, terms: dict):
         """Support element of minimal omega (unique: omega is injective)."""
         best = None
@@ -623,7 +630,8 @@ class NovikovScalar:
         return NovikovScalar(self.group, num, _terms_mul(self.den, other.den))
 
     def __neg__(self):
-        return NovikovScalar(
+        # -num/den is as reduced as num/den: same gcd, same leading den term
+        return NovikovScalar._reduced(
             self.group, {c: -v for c, v in self.num.items()}, dict(self.den)
         )
 
@@ -646,7 +654,10 @@ class NovikovScalar:
 
     def scale(self, c) -> "NovikovScalar":
         c = _as_fraction(c)
-        return NovikovScalar(
+        if not c:
+            return NovikovScalar.zero(self.group)
+        # a nonzero rational factor keeps num/den reduced
+        return NovikovScalar._reduced(
             self.group, {cap: v * c for cap, v in self.num.items()}, dict(self.den)
         )
 

@@ -7,6 +7,16 @@ point p carries the value -H(eta, p).  Events are localized by bisection:
 birth/death shows up as a pairing refusal with a count change, a crossing
 as a sign change of the value difference of two equal-index branches.
 
+Closed forms polynomial in eta, like the paper's (1 - s)H0 + sH1, are
+expanded once per family and theta grid: H = sum eta^k F_k(theta), with
+the G_k = dF_k/dtheta and the means of the F_k sampled, so a slice gets
+its grid f' and mean by Horner's rule.  Two guards keep every artifact
+as exact evaluation writes it: f' samples near zero, their neighbours
+and both ends of each sign-change cell are re-evaluated exactly, and a
+mean near a half-quantum is recomputed by `periodic_mean()`.  An eta-free
+dH/deta is sampled once per family.  Other families (cos(theta + eta))
+evaluate the closed form per slice.
+
 Abstract families carry explicit complexes on the grid plus a declared
 event list; genericity has no combinatorial substitute, so undeclared
 ambiguity is a refusal, never a guess.
@@ -26,7 +36,9 @@ from .errors import EventError, MorseError, NonCerfError, PairingError
 from .morse import (
     DEFAULT_GRID,
     TWO_PI,
+    VALUE_QUANTUM,
     MorseFunction1D,
+    _circle_distance,
     build_s1_morse,
     pair_critical_lists,
     parse_expression,
@@ -55,6 +67,75 @@ DEFAULT_ETA_GRID = 257
 _THETA = sp.Symbol("theta")
 _ETA = sp.Symbol("eta")
 
+_EPS = float(np.finfo(float).eps)
+# Guards of the eta-expansion, in units of eps * sum_k |eta|^k max|c_k| over its
+# coefficients c_k (G_k for f', F_k for the mean).  On the cerf_cli families the
+# expansion is within 2 such units of the closed form for f', within 1 for the mean.
+_SCAN_GUARD = 4096.0  # f' samples within this of zero are re-evaluated exactly
+_MEAN_GUARD = 64.0  # times VALUE_QUANTUM: a mean this near a half-quantum falls back
+_SCAN_FLOOR = math.sqrt(np.finfo(float).tiny)  # sample products above it never underflow
+
+
+def _horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+class _Root:
+    """A family's closed form and partial derivatives, lambdified once and
+    shared with its sub-families, with its eta-expansion if it has one."""
+
+    def __init__(self, expr):
+        self.f = sp.lambdify((_THETA, _ETA), expr, "numpy")
+        self.fp_theta = sp.lambdify((_THETA, _ETA), sp.diff(expr, _THETA), "numpy")
+        fp_eta = sp.diff(expr, _ETA)
+        self.fp_eta = sp.lambdify((_THETA, _ETA), fp_eta, "numpy")
+        self.eta_free = _ETA not in fp_eta.free_symbols  # same floats at every eta
+        poly = expr.as_poly(_ETA)  # None when H is not polynomial in eta
+        self._coeffs = None
+        if poly is not None:
+            F = poly.all_coeffs()[::-1]  # F_0, ..., F_d
+            self._coeffs = [sp.lambdify(_THETA, cs, "numpy")
+                            for cs in (F, [sp.diff(c, _THETA) for c in F])]
+        self._expansions: dict = {}
+
+    def expansion(self, n: int):
+        """(G_k grids, max|G_k|, mean F_k, max|F_k|) on the n-point grid, or None."""
+        if self._coeffs is None:
+            return None
+        if n not in self._expansions:
+            thetas = np.arange(n) * (TWO_PI / n)  # MorseFunction1D.grid()
+            F, G = ([np.zeros(n) + c for c in lam(thetas)] for lam in self._coeffs)
+            self._expansions[n] = (G, [float(np.max(np.abs(c))) for c in G],
+                                   [float(np.mean(c)) for c in F],
+                                   [float(np.max(np.abs(c))) for c in F])
+        return self._expansions[n]
+
+
+class _SliceExpansion:
+    """A slice's `approx` (see `MorseFunction1D`) from its root's expansion."""
+
+    __slots__ = ("expansion", "eta")
+
+    def __init__(self, expansion, eta: float):
+        self.expansion, self.eta = expansion, eta
+
+    def derivative(self):
+        G, g_max, _, _ = self.expansion
+        deriv = np.array(_horner(G, self.eta))  # a copy: the scan patches it
+        tol = _SCAN_GUARD * _EPS * _horner(g_max, abs(self.eta))
+        return deriv, max(tol, _SCAN_FLOOR)
+
+    def quantized_mean(self):
+        _, _, means, f_max = self.expansion
+        x = _horner(means, self.eta) * VALUE_QUANTUM
+        guard = _MEAN_GUARD * _EPS * VALUE_QUANTUM * _horner(f_max, abs(self.eta))
+        if abs(x - math.floor(x) - 0.5) <= guard:
+            return None  # the exact mean might round the other way
+        return Fraction(round(x), VALUE_QUANTUM)
+
 
 class MorseCerfFamily:
     """Closed-form family eta -> Morse function, swept over [0, 1].
@@ -76,16 +157,12 @@ class MorseCerfFamily:
         self.eta_points = int(eta_points)
         self.theta_points = int(theta_points)
         self.affine = (float(affine[0]), float(affine[1]))
-        if _root is not None:
-            self._f, self._fp_theta, self._fp_eta = _root
-        else:
-            self._f = sp.lambdify((_THETA, _ETA), expr, "numpy")
-            self._fp_theta = sp.lambdify((_THETA, _ETA), sp.diff(expr, _THETA), "numpy")
-            self._fp_eta = sp.lambdify((_THETA, _ETA), sp.diff(expr, _ETA), "numpy")
+        self._root = _Root(expr) if _root is None else _root
         self.grid = np.linspace(0.0, 1.0, self.eta_points)
         self._diagram = None
         self._complexes: dict = {}
         self._slices: dict = {}
+        self._eta_stats = None
 
     # -- parameter bookkeeping ---------------------------------------------------
 
@@ -111,16 +188,21 @@ class MorseCerfFamily:
         s = float(s)
         if s not in self._slices:
             eta = self.root_eta(s)
+            root = self._root
 
             def f(t):
                 t = np.asarray(t, dtype=float)
-                return np.zeros_like(t) + self._f(t, eta)
+                return np.zeros_like(t) + root.f(t, eta)
 
             def fp(t):
                 t = np.asarray(t, dtype=float)
-                return np.zeros_like(t) + self._fp_theta(t, eta)
+                return np.zeros_like(t) + root.fp_theta(t, eta)
 
-            self._slices[s] = MorseFunction1D(f, fp, N=self.theta_points)
+            expansion = root.expansion(self.theta_points)
+            self._slices[s] = MorseFunction1D(
+                f, fp, N=self.theta_points,
+                approx=None if expansion is None else _SliceExpansion(expansion, eta),
+            )
         return self._slices[s]
 
     def complex_at(self, i: int):
@@ -136,11 +218,22 @@ class MorseCerfFamily:
 
     def _eta_derivative(self, thetas, eta: float):
         thetas = np.asarray(thetas, dtype=float)
-        return np.zeros_like(thetas) + self._fp_eta(thetas, eta)
+        return np.zeros_like(thetas) + self._root.fp_eta(thetas, eta)
 
-    def _mean_eta_derivative(self, eta: float) -> float:
+    def _eta_derivative_stats(self, eta: float):
+        """Mean of dH/deta over the theta grid, and the exact min and max
+        after subtracting it.  Sampled once per family when dH/deta has
+        no eta: every eta then gives bitwise the same floats."""
+        if self._eta_stats is not None:
+            return self._eta_stats
         thetas = np.arange(self.theta_points) * (TWO_PI / self.theta_points)
-        return float(np.mean(self._eta_derivative(thetas, eta)))
+        vals = self._eta_derivative(thetas, eta)
+        mean = vals.mean()
+        vals = vals - mean  # per-slice mean-zero normalization
+        stats = (float(mean), Fraction(float(vals.min())), Fraction(float(vals.max())))
+        if self._root.eta_free:
+            self._eta_stats = stats
+        return stats
 
     def eta_derivative_at(self, s: float, theta):
         """d/d(slot) of the normalized Hamiltonian at the root point.
@@ -151,7 +244,7 @@ class MorseCerfFamily:
         a, b = self.affine
         eta = self.root_eta(float(s))
         raw = self._eta_derivative(theta, eta)
-        return (b - a) * (raw - self._mean_eta_derivative(eta))
+        return (b - a) * (raw - self._eta_derivative_stats(eta)[0])
 
     def variation_contributions(self):
         """Per grid interval, in slot order: exact (negative, positive)
@@ -169,12 +262,9 @@ class MorseCerfFamily:
         lo, hi = self.span
         m = self.eta_points - 1
         width = (Fraction(hi) - Fraction(lo)) / m
-        thetas = np.arange(self.theta_points) * (TWO_PI / self.theta_points)
 
         def extrema(e):
-            vals = self._eta_derivative(thetas, e)
-            vals = vals - vals.mean()  # per-slice mean-zero normalization
-            return Fraction(float(vals.min())), Fraction(float(vals.max()))
+            return self._eta_derivative_stats(e)[1:]
 
         # interval ends are shared: e1 of interval i is e0 of interval i + 1
         ends = [extrema(lo + (hi - lo) * (i / m)) for i in range(m + 1)]
@@ -326,47 +416,31 @@ class CerfDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _try_pairing(c_lo, c_hi):
-    try:
-        return pair_critical_lists(c_lo, c_hi)
-    except PairingError:
-        return None
-
-
 def bifurcation_diagram(fam) -> CerfDiagram:
     if fam.is_morse:
         return _morse_diagram(fam)
     return _abstract_diagram(fam)
 
 
-def _crit_at(fam, eta):
-    return fam.function_at(eta).critical_points()
-
-
 def _morse_diagram(fam: MorseCerfFamily) -> CerfDiagram:
     grid = fam.grid
     try:
-        crits = [_crit_at(fam, e) for e in (grid[0], grid[-1])]
+        for e in (grid[0], grid[-1]):
+            fam.function_at(e).critical_points()
     except MorseError as e:
         raise NonCerfError(f"endpoint is degenerate: {e}") from None
-    del crits
-
-    branches: list[Branch] = []
-    alive: dict = {}  # position in current crit list -> Branch
-    cusps: list[Cusp] = []
-    tracks: list = []
 
     def crit_list(eta):
         try:
-            return _crit_at(fam, eta)
+            return fam.function_at(eta).critical_points()
         except MorseError as e:
             raise NonCerfError(f"degenerate slice at eta={eta}: {e}") from None
 
     cur = crit_list(grid[0])
-    for j, p in enumerate(cur):
-        b = Branch(f"b{len(branches)}", p.index)
-        branches.append(b)
-        alive[j] = b
+    branches = [Branch(f"b{j}", p.index) for j, p in enumerate(cur)]
+    alive = dict(enumerate(branches))  # position in current crit list -> Branch
+    cusps: list[Cusp] = []
+    tracks: list = []
     _record(alive, cur, grid[0])
     tracks.append({b.id: f"c{j}" for j, b in alive.items()})
 
@@ -416,12 +490,12 @@ class _Walker:
             )
         nxt = self.crit_list(hi)
         if len(nxt) == len(cur):
-            pairing = _try_pairing(cur, nxt)
-            if pairing is not None:
-                remap = {}
-                for a, bidx in pairing.pairs:
-                    remap[bidx] = alive[a]
-                return nxt, remap
+            try:
+                pairs = pair_critical_lists(cur, nxt).pairs
+            except PairingError:
+                pairs = None
+            if pairs is not None:
+                return nxt, {bidx: alive[a] for a, bidx in pairs}
             mid = 0.5 * (lo + hi)
             cur, alive = self.advance(cur, alive, lo, mid, depth + 1)
             return self.advance(cur, alive, mid, hi, depth + 1)
@@ -469,10 +543,8 @@ class _Walker:
         survivors = [j for j in range(len(rich)) if j not in pair_idx]
 
         if kind == "birth":
-            pairing = pair_critical_lists(c_a, [rich[j] for j in survivors])
-            remap = {}
-            for i_a, bpos in pairing.pairs:
-                remap[survivors[bpos]] = alive[i_a]
+            pairs = pair_critical_lists(c_a, [rich[j] for j in survivors]).pairs
+            remap = {survivors[bpos]: alive[i_a] for i_a, bpos in pairs}
             new_ids = []
             for j in pair_idx:
                 br = Branch(f"b{len(self.branches)}", rich[j].index)
@@ -483,10 +555,8 @@ class _Walker:
             _record(remap, rich, rich_eta)
             return self.advance(rich, remap, b, hi)
         dying = [alive[j].id for j in pair_idx if j in alive]
-        pairing = pair_critical_lists([rich[j] for j in survivors], c_b)
-        remap = {}
-        for pos_s, pos_b in pairing.pairs:
-            remap[pos_b] = alive[survivors[pos_s]]
+        pairs = pair_critical_lists([rich[j] for j in survivors], c_b).pairs
+        remap = {pos_b: alive[survivors[pos_s]] for pos_s, pos_b in pairs}
         self.cusps.append(Cusp(eta_star, value, tuple(dying), indices, "death"))
         _record(remap, c_b, b)
         return self.advance(c_b, remap, b, hi)
@@ -496,20 +566,11 @@ def _identify_new_pair(rich, lean):
     """Two entries of `rich` unexplained by `lean`: the bifurcating pair."""
     scores = []
     for j, p in enumerate(rich):
-        ds = [
-            _circ(p.theta, q.theta)
-            for q in lean
-            if q.index == p.index
-        ]
+        ds = [_circle_distance(p.theta, q.theta) for q in lean if q.index == p.index]
         scores.append((min(ds) if ds else math.inf, j))
     scores.sort(reverse=True)
     pair = sorted(j for _, j in scores[:2])
     return tuple(pair)
-
-
-def _circ(a, b):
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
 
 
 def _refine_theta(fam, eta, theta_guess, window):
@@ -719,7 +780,7 @@ def sub_family(fam, eta1: float, eta2: float):
             eta_points=fam.eta_points,
             theta_points=fam.theta_points,
             affine=(na, nb),
-            _root=(fam._f, fam._fp_theta, fam._fp_eta),
+            _root=fam._root,
         )
     n = len(fam.grid)
     i1 = int(round(eta1 * (n - 1)))

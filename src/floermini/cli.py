@@ -296,17 +296,8 @@ class Runner:
             self.exit_code = 2
 
     def run_tasks(self):
-        handlers = {
-            "rho": self.task_rho,
-            "spectrum": self.task_spectrum,
-            "diagram": self.task_diagram,
-            "continuation": self.task_continuation,
-            "rho_curve": self.task_rho_curve,
-            "hofer": self.task_hofer,
-            "validate": self.task_validate,
-        }
-        for t in self.cfg.tasks:
-            handlers[t]()
+        for t in self.cfg.tasks:  # RunConfig admits only KNOWN_TASKS
+            getattr(self, "task_" + t)()
 
 
 def run(config_path, out_dir=None, seed=None, grid=None) -> int:

@@ -101,15 +101,23 @@ class CriticalPoint:
 
 
 class MorseFunction1D:
-    """Closed-form or sampled function on the circle, with optional drift."""
+    """Closed-form or sampled function on the circle, with optional drift.
 
-    def __init__(self, f, fp, N=DEFAULT_GRID, drift=Fraction(0), expr=None, samples=None):
+    `approx` (a Cerf slice's eta-expansion) is a cheaper grid scan:
+    `derivative()` gives (f' on the grid, a bound tol on its error) and
+    `quantized_mean()` the quantized mean, or None if it cannot vouch for
+    it.  Critical points stay those of an exact scan, bit for bit.
+    """
+
+    def __init__(self, f, fp, N=DEFAULT_GRID, drift=Fraction(0), expr=None, samples=None,
+                 approx=None):
         self._f = f
         self._fp = fp
         self.N = int(N)
         self.drift = Fraction(drift)
         self.expr = expr
         self.samples = samples
+        self.approx = approx
         self._crit = None
         self._mean = None
 
@@ -255,11 +263,28 @@ class MorseFunction1D:
             hi[act[~same]] = mid[~same]
         return theta
 
+    def _approx_scan(self, g: np.ndarray, margin: float) -> np.ndarray:
+        """Grid f' from `approx`, exact wherever an exact scan could differ.
+
+        Samples within tol of zero, and their neighbours, are re-evaluated;
+        the rest have the exact sign, so the kernel finds the exact cells.
+        Both ends of each cell are then re-evaluated too, so flags, indices,
+        the touching test and the bisection starts are the exact scan's.
+        """
+        deriv, tol = self.approx.derivative()
+        near = np.abs(deriv) <= tol
+        idx = np.nonzero(near | np.roll(near, 1) | np.roll(near, -1))[0]
+        deriv[idx] = self._fp(g[idx])
+        cells, _ = _kernels.critical_cells(deriv, margin)
+        idx = np.concatenate([cells, (cells + 1) % self.N])
+        deriv[idx] = self._fp(g[idx])
+        return deriv
+
     def _detect(self) -> list:
         g = self.grid()
         h = TWO_PI / self.N
         margin = (2.0 / self.N) * h
-        deriv = self._fp(g)
+        deriv = self._fp(g) if self.approx is None else self._approx_scan(g, margin)
         if not np.all(np.isfinite(deriv)):
             raise MorseError("derivative evaluation failed")
         cells, flags = _kernels.critical_cells(deriv, margin)
@@ -277,7 +302,8 @@ class MorseFunction1D:
                 f"degenerate critical point at theta={g[touching[0]]:.9f}: "
                 "f' touches zero on the grid"
             )
-        mean = _quantize(self.periodic_mean())
+        mean = None if self.approx is None else self.approx.quantized_mean()
+        mean = _quantize(self.periodic_mean()) if mean is None else mean
         thetas = self._refine_cells(g[cells], deriv[cells])
         raws = self._f(thetas)
         out = []
@@ -408,23 +434,10 @@ def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
         if p.index != 1:
             continue
         row: dict = {}
-
-        def neighbor(j, wrap):
-            # translate by +-2pi shifts the level by +-eps*drift: cap (-wrap,)
-            return f"c{j}", (-wrap,)
-
-        if i + 1 < k:
-            tgt, cap = neighbor(i + 1, 0)
-        else:
-            tgt, cap = neighbor(0, 1)
-        s = NovikovScalar.monomial(group, cap, 1)
-        row[tgt] = row[tgt] + s if tgt in row else s
-        if i - 1 >= 0:
-            tgt, cap = neighbor(i - 1, 0)
-        else:
-            tgt, cap = neighbor(k - 1, -1)
-        s = NovikovScalar.monomial(group, cap, -1)
-        row[tgt] = row[tgt] + s if tgt in row else s
+        # wrapping past the domain end (wrap = +-1) shifts the level by +-eps*drift
+        for j, wrap, coeff in ((i + 1, i + 1 == k, 1), (i - 1, -(i == 0), -1)):
+            tgt, s = f"c{j % k}", NovikovScalar.monomial(group, (-int(wrap),), coeff)
+            row[tgt] = row[tgt] + s if tgt in row else s
         boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
     X = FilteredComplex(group, orbits, boundary)
     return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))

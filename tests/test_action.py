@@ -254,3 +254,42 @@ class TestNovikovScalar:
             assert len(acc.den) <= len(s.den) * len(r.num)
             acc = acc - t
             assert acc.num == s.num and acc.den == s.den
+
+    def test_negation_and_scaling_keep_the_reduced_form(self, G, monkeypatch):
+        """-u and u.scale(c) are built as they are, with no second gcd:
+        their num/den equal the __init__ route term for term."""
+        import random
+
+        from floermini import action
+
+        r = random.Random(11)
+
+        def rand_terms():
+            return {
+                (r.randint(-2, 2), r.randint(-2, 2)): Fraction(r.choice([-3, -1, 1, 2]), r.randint(1, 3))
+                for _ in range(r.randint(2, 3))
+            }
+
+        fractions = []
+        while len(fractions) < 25:
+            u = NovikovScalar.from_terms(G, rand_terms()) / NovikovScalar.from_terms(G, rand_terms())
+            if not u.is_finite:
+                fractions.append(u)
+        fractions.append(NovikovScalar.zero(G))
+        results = []
+        cancels = []
+        cancel = action._terms_cancel
+        monkeypatch.setattr(action, "_terms_cancel", lambda *a: cancels.append(a) or cancel(*a))
+        for u in fractions:
+            results.append((u, -1, -u))
+            for c in (Fraction(3, 7), -2, 5):
+                results.append((u, c, u.scale(c)))
+        assert cancels == []
+        monkeypatch.setattr(action, "_terms_cancel", cancel)
+        for u, c, got in results:
+            ref = NovikovScalar(G, {k: v * c for k, v in u.num.items()}, dict(u.den))
+            assert list(got.num.items()) == list(ref.num.items())
+            assert list(got.den.items()) == list(ref.den.items())
+            assert got.num is not u.num and got.den is not u.den
+        zero = fractions[0].scale(0)
+        assert zero.is_zero() and zero.den == {G.zero_cap: Fraction(1)}

@@ -1,6 +1,11 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floermini.action import ActionValue, NovikovScalar, make_period_group
 from floermini.cerf import (
@@ -13,7 +18,8 @@ from floermini.cerf import (
     sub_family,
 )
 from floermini.complexes import FilteredComplex, Orbit
-from floermini.errors import EventError, NonCerfError, RankMismatchError
+from floermini.errors import EventError, MorseError, NonCerfError, RankMismatchError
+from floermini.morse import MorseFunction1D, _quantize
 
 BD_FAMILY = "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)"
 TWO_EVENT_FAMILY = (
@@ -219,3 +225,146 @@ class TestGammaTranslate:
             sorted(t_then_d.branches, key=lambda b: b.id),
         ):
             assert a.id == b.id and a.values == b.values
+
+
+# -- the eta-expansion against the exact callables ----------------------------
+
+
+def _outcome(f):
+    """Critical points as bitwise-comparable tuples, or the MorseError text."""
+    try:
+        return [(p.theta, p.value, p.index, p.raw_value) for p in f.critical_points()]
+    except MorseError as e:
+        return str(e)
+
+
+def _assert_slice_exact(fam, s):
+    """The slice's critical points equal a scan of the same exact callables
+    with no expansion, bit for bit."""
+    sl = fam.function_at(s)
+    exact = MorseFunction1D(sl._f, sl._fp, N=sl.N)
+    assert _outcome(sl) == _outcome(exact)
+    return sl
+
+
+_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+@st.composite
+def _trig(draw):
+    terms = []
+    for k in range(1, draw(st.integers(1, 3)) + 1):
+        a, b = draw(_rationals), draw(_rationals)
+        terms.append(f"({a})*cos({k}*theta) + ({b})*sin({k}*theta + 1/3)")
+    return " + ".join(terms)
+
+
+class TestEtaExpansion:
+    N = 2048
+
+    @settings(max_examples=40)
+    @given(a=_trig(), b=_trig(), c=_trig(), k=st.tuples(_rationals, _rationals),
+           quadratic=st.booleans(), slots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_fast_scan_matches_exact_scan(self, a, b, c, k, quadratic, slots):
+        expr = f"({k[0]}) + cos(theta) + ({a})/2 + eta*({k[1]} + {b})"
+        expr += f" + eta**2*({c})" if quadratic else ""
+        fam = MorseCerfFamily(expr, eta_points=9, theta_points=self.N)
+        for s in slots + [0.0, 0.5, 1.0]:
+            assert _assert_slice_exact(fam, s).approx is not None
+
+    def test_exact_zero_and_near_zero_on_the_grid(self):
+        fam = MorseCerfFamily(BD_FAMILY, eta_points=9, theta_points=self.N)
+        sl = _assert_slice_exact(fam, 0.0)
+        g = sl.grid()
+        assert sl._fp(g[:1])[0] == 0.0  # f' = -sin(theta) vanishes at theta = 0
+        assert 0.0 in [p.theta for p in sl.critical_points()]
+        deriv, tol = sl.approx.derivative()
+        half = self.N // 2  # theta = pi exactly: -sin(pi) is about -1.2e-16
+        assert 0.0 < abs(sl._fp(g[half:half + 1])[0]) < 1e-15
+        assert abs(deriv[half]) <= tol  # re-evaluated exactly
+
+    def test_mean_on_a_half_quantum_falls_back(self):
+        fam = MorseCerfFamily(
+            "1/2000000000000 + cos(theta) + eta*sin(2*theta)", eta_points=9, theta_points=self.N
+        )
+        for s in (0.0, 0.25, 1.0):
+            sl = _assert_slice_exact(fam, s)
+            assert sl.approx.quantized_mean() is None
+        sl = _assert_slice_exact(MorseCerfFamily(BD_FAMILY, theta_points=self.N), 0.25)
+        assert sl.approx.quantized_mean() == _quantize(sl.periodic_mean())
+
+    def test_family_not_polynomial_in_eta_keeps_the_exact_path(self):
+        fam = MorseCerfFamily("cos(theta + eta) + 1/4*cos(2*theta)", eta_points=9,
+                              theta_points=self.N)
+        assert not fam._root.eta_free
+        for s in (0.0, 0.3, 1.0):
+            assert _assert_slice_exact(fam, s).approx is None
+        assert fam.variation_contributions() == _reference_contributions(fam)
+
+
+def _reference_contributions(fam):
+    """Per-interval variation contributions, sampling dH/deta at every eta
+    from its own lambdified form."""
+    theta, eta = sp.Symbol("theta"), sp.Symbol("eta")
+    d_eta = sp.lambdify((theta, eta), sp.diff(fam.expr, eta), "numpy")
+    thetas = np.arange(fam.theta_points) * (2 * math.pi / fam.theta_points)
+
+    def extrema(e):
+        vals = np.zeros_like(thetas) + d_eta(thetas, e)
+        vals = vals - vals.mean()
+        return Fraction(float(vals.min())), Fraction(float(vals.max()))
+
+    lo, hi = fam.span
+    m = fam.eta_points - 1
+    width = (Fraction(hi) - Fraction(lo)) / m
+    out = []
+    for i in range(m):
+        e0 = lo + (hi - lo) * (i / m)
+        e1 = lo + (hi - lo) * ((i + 1) / m)
+        mins, maxs = zip(extrema(e0), extrema(0.5 * (e0 + e1)), extrema(e1))
+        out.append(((-min(mins) + (max(mins) - min(mins))) * width,
+                    (max(maxs) + (max(maxs) - min(maxs))) * width))
+    if fam.reversed_orientation:
+        out = [(pos, neg) for neg, pos in out[::-1]]
+    return out
+
+
+class TestVariationContributions:
+    def _counted(self, fam):
+        """Count grid evaluations of dH/deta through the family's root."""
+        calls = []
+        fp_eta = fam._root.fp_eta
+
+        def counted(thetas, eta):
+            if np.ndim(thetas):
+                calls.append(eta)
+            return fp_eta(thetas, eta)
+
+        fam._root.fp_eta = counted
+        return calls
+
+    def test_eta_free_derivative_sampled_once_per_family(self):
+        fam = MorseCerfFamily(TWO_EVENT_FAMILY, eta_points=33, theta_points=4096)
+        assert fam._root.eta_free
+        calls = self._counted(fam)
+        got = fam.variation_contributions()
+        slopes = [fam.eta_derivative_at(s, 1.0) for s in (0.0, 0.4, 1.0)]
+        assert len(calls) == 1
+        assert got == _reference_contributions(fam)
+        assert len({float(x) for x in slopes}) == 1
+        fwd, rev = sub_family(fam, 0.2, 0.7), sub_family(fam, 0.7, 0.2)
+        assert fwd._root is fam._root
+        assert rev.variation_contributions() == [
+            (pos, neg) for neg, pos in fwd.variation_contributions()[::-1]
+        ]
+        assert sub_family(fam, 0.0, 1.0).variation_contributions() == got
+        assert len(calls) == 4  # one per family: fam, fwd, rev and the full sub-family
+        assert fwd.variation_contributions() == _reference_contributions(fwd)
+
+    def test_eta_dependent_derivative_matches_reference(self):
+        fam = MorseCerfFamily("cos(theta) + eta**2*sin(2*theta)", eta_points=17,
+                              theta_points=2048)
+        assert not fam._root.eta_free
+        assert fam.variation_contributions() == _reference_contributions(fam)
+        rev = sub_family(fam, 0.9, 0.1)
+        assert rev.variation_contributions() == _reference_contributions(rev)

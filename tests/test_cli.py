@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,20 @@ class TestRun:
         code = main(["run", str(GOLDEN / "hofer_cos.json"), "--out", str(tmp_path)])
         assert code == 0
 
+    def test_python_dash_m_entry_point(self, tmp_path):
+        import floermini
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(floermini.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-m", "floermini", "run", str(GOLDEN / "constant_diagram.json"),
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "diagram.svg").is_file()
+
     def test_grid_flag_overrides_family_eta_points(self, tmp_path):
         for flag, eta in ((None, 65), (129, 129)):  # bd_diagram.json says 65
             out = tmp_path / str(eta)
@@ -215,6 +232,52 @@ class TestRun:
         assert run(p, tmp_path / "out") == 0
         svg = (tmp_path / "out" / "diagram.svg").read_text()
         assert "stroke-dasharray" in svg
+
+
+ARTIFACTS = ("branches.csv", "events.csv", "diagram.svg", "rho_curve.csv",
+             "rho_curve.svg", "report.json")
+
+
+class TestEtaExpansion:
+    """The eta-expansion of closed-form families leaves every artifact as
+    the exact per-slice evaluation writes it."""
+
+    @pytest.mark.parametrize("config", ["bd_diagram", "acceptance_07"])
+    def test_artifacts_byte_identical_without_expansion(self, tmp_path, monkeypatch, config):
+        from floermini import cerf
+
+        if config == "bd_diagram":
+            path = GOLDEN / "bd_diagram.json"
+        else:
+            path = tmp_path / "acceptance_07.json"
+            path.write_text(json.dumps({
+                "family": {"kind": "closed_form",
+                           "expr": "(1-eta)*cos(theta) + eta*(3/2*cos(2*theta - 7/10)"
+                                   " - 3/10*cos(3*theta))",
+                           "eta_points": 33, "theta_points": 4096},
+                "tasks": ["diagram", "rho_curve", "continuation"],
+                "classes": ["point"],
+            }))
+        scans = []
+        derivative = cerf._SliceExpansion.derivative
+        monkeypatch.setattr(cerf._SliceExpansion, "derivative",
+                            lambda self: scans.append(self) or derivative(self))
+        assert run(path, tmp_path / "on") == 0
+        assert scans
+
+        class ExactRoot(cerf._Root):
+            def __init__(self, expr):
+                super().__init__(expr)
+                self.eta_free, self._coeffs = False, None
+
+        monkeypatch.setattr(cerf, "_Root", ExactRoot)
+        scans.clear()
+        assert run(path, tmp_path / "off") == 0
+        assert not scans
+        on, off = read_all(tmp_path / "on"), read_all(tmp_path / "off")
+        assert sorted(on) == sorted(off) == sorted(ARTIFACTS)
+        for name in ARTIFACTS:
+            assert on[name] == off[name], f"{config}:{name} differs without the expansion"
 
 
 class TestRendering:
