@@ -227,29 +227,15 @@ class Runner:
         import random
         from fractions import Fraction
 
-        from .hofer import hofer_quantities, rho_unit
-        from .morse import MorseFunction1D
+        from .hofer import hofer_quantities, random_trig_function, rho_unit
 
         rng = random.Random(self.cfg.seed)
-
-        def rand_function():
-            terms = []
-            for k in (1, 2, 3):
-                a = rng.randint(-8, 8)
-                b = rng.randint(-8, 8)
-                if a:
-                    terms.append(f"({a}/8)*cos({k}*theta)")
-                if b:
-                    terms.append(f"({b}/8)*sin({k}*theta)")
-            expr = " + ".join(terms) if terms else "cos(theta)"
-            return expr, MorseFunction1D.closed_form(expr, N=1 << 12)
-
         slack = Fraction(4, 10**12)
         rows = []
         while len(rows) < count:
             try:
-                expr_f, f = rand_function()
-                expr_g, g = rand_function()
+                expr_f, f = random_trig_function(rng)
+                expr_g, g = random_trig_function(rng)
                 rf = rho_unit(f, self.cfg.eps)
                 rg = rho_unit(g, self.cfg.eps)
                 rsum = rho_unit(f.added(g), self.cfg.eps)

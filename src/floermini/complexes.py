@@ -26,7 +26,7 @@ from .errors import (
     NotACycleError,
 )
 from . import reduction
-from .reduction import orthogonalize, reduce_vector, combination
+from .reduction import orthogonalize, reduce_vector
 
 __all__ = [
     "Orbit",
@@ -176,7 +176,7 @@ class FilteredComplex:
             if entries:
                 self.boundary[str(src)] = entries
         self._validate()
-        self._elim_cache: dict = {}
+        self._decompositions: dict = {}
         self._homology_cache = None
 
     # -- validation -------------------------------------------------------
@@ -286,34 +286,22 @@ class FilteredComplex:
     def spectrum(self) -> SpecSet:
         return SpecSet(self.group, [(o.id, o.level) for o in self.orbits])
 
-    # -- elimination layers -------------------------------------------------
+    # -- the boundary maps ----------------------------------------------------
 
-    def _columns(self, degree: int):
-        cols = []
-        for oid in self.orbit_ids(degree):
-            vec = self.boundary_of(NovikovChain.unit(self.group, oid)).coeffs
-            cols.append((vec, {oid: NovikovScalar.one(self.group)}))
-        return cols
-
-    def elimination(self, degree: int):
-        """(image basis in degree-1 with preimages, cycle basis in degree).
-
-        The image basis is level-orthogonal with deterministic pivots.
-        """
-        if degree not in self._elim_cache:
-            self._elim_cache[degree] = orthogonalize(
-                self._columns(degree), self.weight
-            )
-        return self._elim_cache[degree]
+    def decomposition(self, degree: int) -> reduction.Decomposition:
+        """The cached decomposition of d out of degree `degree`: its image
+        basis lies in degree - 1, its kernel in degree."""
+        if degree not in self._decompositions:
+            cols = []
+            for oid in self.orbit_ids(degree):
+                vec = self.boundary_of(NovikovChain.unit(self.group, oid)).coeffs
+                cols.append((vec, {oid: NovikovScalar.one(self.group)}))
+            self._decompositions[degree] = reduction.Decomposition(cols, self.weight)
+        return self._decompositions[degree]
 
     def boundary_basis(self, degree: int):
         """Level-orthogonal basis of the boundaries inside degree `degree`."""
-        reduced, _ = self.elimination(degree + 1)
-        return reduced
-
-    def cycle_basis(self, degree: int):
-        _, kernel = self.elimination(degree)
-        return [NovikovChain(self.group, k) for k in kernel]
+        return self.decomposition(degree + 1).image
 
     # -- homology ------------------------------------------------------------
 
@@ -324,8 +312,8 @@ class FilteredComplex:
             for k in self.degrees():
                 boundaries = self.boundary_basis(k)
                 reps = []
-                for cyc in self.cycle_basis(k):
-                    res, _ = reduce_vector(cyc.coeffs, boundaries, self.weight)
+                for cyc in self.decomposition(k).kernel:
+                    res, _ = reduce_vector(cyc, boundaries)
                     if res:
                         reps.append((res, res))
                 independent, _ = orthogonalize(reps, self.weight)
@@ -353,11 +341,9 @@ class FilteredComplex:
         deg = self.degree_of(diff)
         if deg == "mixed":
             raise DegreeError("homologous() expects equal pure degrees")
-        boundaries = self.boundary_basis(deg)
-        res, coeffs = reduce_vector(diff.coeffs, boundaries, self.weight)
-        if res:
+        delta = self.decomposition(deg + 1).some_preimage(diff.coeffs)
+        if delta is None:
             return False, None
-        delta = combination(coeffs, boundaries)
         return True, NovikovChain(self.group, delta)
 
     # -- presentation -----------------------------------------------------------

@@ -16,14 +16,8 @@ from .action import ActionValue, NovikovScalar
 from .cerf import AbstractCerfFamily, ConcatFamily, MorseCerfFamily, concat
 from .complexes import FilteredComplex, NovikovChain
 from .errors import ChainMapError, EventError, NotACycleError
-from .reduction import (
-    combination,
-    orthogonalize,
-    reduce_vector,
-    vec_axpy,
-    vec_level,
-)
-from .spectral import rho
+from .reduction import Decomposition, vec_axpy
+from .spectral import equal_level_corrections, rho
 
 __all__ = [
     "VariationBounds",
@@ -407,14 +401,9 @@ def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
         vec_axpy(col, None, {(t, src): row[s] for src, row in X.boundary.items() if s in row})
         unit = NovikovScalar.one(X.group)
         columns.append((col, {(t, s): unit}))
-    weight = _hom_weight(X, Y)
-    reduced, kernel = orthogonalize(columns, weight)
-    residual, coeffs = reduce_vector(dvec, reduced, weight)
-    if residual:
+    hvec = Decomposition(columns, _hom_weight(X, Y)).preimage(dvec)
+    if hvec is None:
         raise ChainMapError("maps are not chain homotopic")
-    hvec = combination(coeffs, reduced)
-    kernel_basis, _ = orthogonalize([(k, k) for k in kernel], weight)
-    hvec, _ = reduce_vector(hvec, kernel_basis, weight)
     H = ChainHomotopy(X, Y, hvec)
     H.verify_identity(direct, composed)
     return H
@@ -638,14 +627,8 @@ def _tight_cycles_at(X, cls):
     res = rho(X, cls)
     out = [res.tight_cycle]
     deg = X.degree_of(res.tight_cycle)
-    boundaries = X.boundary_basis(deg)
-    for r in boundaries:
-        lvl = vec_level(r.vec, X.weight)
-        cap = X.group.cap_with_omega(lvl - res.value)
-        if cap is None:
-            continue
-        mono = NovikovScalar.monomial(X.group, cap)
-        cand = vec_axpy(dict(res.tight_cycle.coeffs), mono, r.vec)
+    for shifted in equal_level_corrections(X, deg, res.value):
+        cand = vec_axpy(dict(res.tight_cycle.coeffs), None, shifted)
         cand_chain = NovikovChain(X.group, cand)
         if not cand_chain.is_zero() and X.level(cand_chain) == res.value:
             out.append(cand_chain)

@@ -22,6 +22,7 @@ __all__ = [
     "gamma",
     "is_homologically_positive",
     "cone_checks",
+    "random_trig_function",
 ]
 
 
@@ -140,3 +141,23 @@ def cone_checks(pairs, eps=1, rotation=None) -> ConeReport:
     if not zero <= zero:
         failures.append(("identity", "0"))
     return ConeReport(checks, failures)
+
+
+def random_trig_function(rng):
+    """(expression, closed form) of a random trigonometric polynomial.
+
+    The cos(k theta) and sin(k theta) coefficients, k = 1, 2, 3, are drawn
+    from {-8/8, ..., 8/8} in that order and written as "(a/8)" terms;
+    when all six are zero the function is cos(theta).  It is sampled on
+    4096 points.  The Hofer sweep draws its pairs from this.
+    """
+    terms = []
+    for k in (1, 2, 3):
+        a = rng.randint(-8, 8)
+        b = rng.randint(-8, 8)
+        if a:
+            terms.append(f"({a}/8)*cos({k}*theta)")
+        if b:
+            terms.append(f"({b}/8)*sin({k}*theta)")
+    expr = " + ".join(terms) if terms else "cos(theta)"
+    return expr, MorseFunction1D.closed_form(expr, N=1 << 12)

@@ -24,7 +24,7 @@ from . import _kernels
 from .action import ActionValue, NovikovScalar, PeriodGroup, make_period_group
 from .complexes import FilteredComplex, NovikovChain, Orbit
 from .errors import ComplexStructureError, MorseError, PairingError
-from .spectral import rho as engine_rho
+from .spectral import _solve_rational, rho as engine_rho
 
 __all__ = [
     "MorseFunction1D",
@@ -557,31 +557,6 @@ class SmallMorseResult:
         return f"SmallMorseResult(value={self.value!r}, valid={self.valid})"
 
 
-def _q_span_contains(columns, target) -> bool:
-    """Exact rational membership of target in the column span."""
-    rows = set(target)
-    for col in columns:
-        rows.update(col)
-    rows = sorted(rows)
-    aug = [[col.get(r, Fraction(0)) for col in columns] + [target.get(r, Fraction(0))]
-           for r in rows]
-    n = len(columns)
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                fct = aug[i][c]
-                aug[i] = [x - fct * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return all(row[-1] == 0 for row in aug[r:])
-
-
 def _threshold_minimax(report: MorseComplexReport, rep: NovikovChain):
     """Least level t with a representative supported at levels <= t.
 
@@ -590,19 +565,19 @@ def _threshold_minimax(report: MorseComplexReport, rep: NovikovChain):
     X = report.complex
     deg = X.degree_of(rep)
     target = {oid: s.num.get((), Fraction(0)) for oid, s in rep.coeffs.items()}
-    target = {k: v for k, v in target.items() if v}
-    bcols = []
-    for wid in X.orbit_ids(deg + 1):
-        col = {
-            t: s.num.get((), Fraction(0)) for t, s in X.boundary.get(wid, {}).items()
-        }
-        col = {k: v for k, v in col.items() if v}
-        if col:
-            bcols.append(col)
-    candidates = sorted({X.weight(oid) for oid in X.orbit_ids(deg)})
-    for t in candidates:
+    bcols = [
+        {t: s.num.get((), Fraction(0)) for t, s in X.boundary.get(wid, {}).items()}
+        for wid in X.orbit_ids(deg + 1)
+    ]
+    zero = Fraction(0)
+    for t in sorted({X.weight(oid) for oid in X.orbit_ids(deg)}):
         low = [{oid: Fraction(1)} for oid in X.orbit_ids(deg) if X.weight(oid) <= t]
-        if _q_span_contains(bcols + low, target):
+        cols = bcols + low
+        rows = sorted(set(target).union(*cols))
+        if _solve_rational(
+            [[col.get(r, zero) for r in rows] for col in cols],
+            [target.get(r, zero) for r in rows],
+        ) is not None:
             return t
     raise MorseError("mini-max threshold search failed")
 

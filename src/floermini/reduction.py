@@ -15,10 +15,18 @@ supplied order, which fixes the output for golden tests.
 `vec_axpy` (out += coef * v in place, zeros dropped) is the one
 accumulate primitive: chain sums, boundaries, chain-map applications and
 elimination steps all go through it.
+
+A `Decomposition` is the one elimination product of a linear map (after
+Usher-Zhang's singular value decomposition of Floer-Novikov complexes):
+the image basis with the preimages the row operations tracked, and the
+kernel basis.  Reducing a preimage against the kernel basis makes it
+level-minimal; the worst level overhead of a minimal preimage over the
+image basis is the largest finite bar, Usher's boundary depth.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 from .action import NEG_INFINITY, NovikovScalar
@@ -125,7 +133,7 @@ def orthogonalize(
     return reduced, kernel
 
 
-def reduce_vector(v: Vector, reduced: list, weight=None):
+def reduce_vector(v: Vector, reduced: list):
     """Eliminate every pivot coordinate of `reduced` from v.
 
     Returns (residual, combination) with v = residual + sum coeff_i * vec_i.
@@ -151,3 +159,54 @@ def combination(coeffs: list, reduced: list, attr: str = "companion") -> Vector:
         if c is not None and not c.is_zero():
             vec_axpy(out, c, getattr(r, attr))
     return out
+
+
+class Decomposition:
+    """The elimination product of one linear map d, given by its columns
+    (image of a source unit, that unit).
+
+    `image` is the level-orthogonal basis of the image, each vector with
+    the preimage that the row operations tracked (its companion), and
+    `kernel` holds the raw relations among the columns, in input order.
+    `kernel_basis`, their level-orthogonal basis, and the largest finite
+    bar are computed on first use.
+    """
+
+    def __init__(self, columns: Iterable[tuple], weight):
+        self.weight = weight
+        self.image, self.kernel = orthogonalize(columns, weight)
+
+    @cached_property
+    def kernel_basis(self) -> list:
+        basis, _ = orthogonalize([(k, k) for k in self.kernel], self.weight)
+        return basis
+
+    def some_preimage(self, target: Vector):
+        """A preimage combined from the image companions; None off the image."""
+        residual, coeffs = reduce_vector(target, self.image)
+        if residual:
+            return None
+        return combination(coeffs, self.image)
+
+    def minimal(self, source: Vector) -> Vector:
+        """The level-minimal vector of source + ker d."""
+        out, _ = reduce_vector(source, self.kernel_basis)
+        return out
+
+    def preimage(self, target: Vector):
+        """Level-minimal preimage of target; None when target is off the image."""
+        pre = self.some_preimage(target)
+        return None if pre is None else self.minimal(pre)
+
+    @cached_property
+    def largest_bar(self):
+        """max over the image basis of level(minimal preimage) - level(vec),
+        which bounds the overhead of every solve; -inf for a zero image."""
+        worst = NEG_INFINITY
+        for r in self.image:
+            gap = vec_level(self.minimal(r.companion), self.weight) - vec_level(
+                r.vec, self.weight
+            )
+            if gap > worst:
+                worst = gap
+        return worst

@@ -6,6 +6,13 @@ it constructively by reducing any representative against a
 level-orthogonal basis of the boundary subspace.  The residual is a
 tight cycle: no boundary correction can push its level lower, even when
 the period group is dense.
+
+Every computation here reads the complex's cached decomposition of each
+boundary map (`reduction.Decomposition`): the image basis with its
+preimages for rho and the equal-level corrections, the level-minimal
+preimage for the bounded solve, and the largest finite bar, the worst
+overhead of a minimal preimage, for the overhead constant.  That constant
+is the boundary depth of the complex.
 """
 
 from __future__ import annotations
@@ -21,14 +28,7 @@ from .errors import (
     NotACycleError,
     ZeroClassError,
 )
-from .reduction import (
-    combination,
-    orthogonalize,
-    reduce_vector,
-    vec_axpy,
-    vec_level,
-    vec_scale,
-)
+from .reduction import reduce_vector, vec_axpy, vec_level, vec_scale
 
 __all__ = [
     "SpectralResult",
@@ -38,6 +38,7 @@ __all__ = [
     "spectrality_certificate",
     "bounded_boundary_solve",
     "boundary_overhead_constant",
+    "equal_level_corrections",
     "peak_avoidance_check",
 ]
 
@@ -99,7 +100,7 @@ def rho(X: FilteredComplex, cls) -> SpectralResult:
     if deg == "mixed":
         raise DegreeError("spectral values are per-degree; filter the class first")
     boundaries = X.boundary_basis(deg)
-    residual, _ = reduce_vector(rep.coeffs, boundaries, X.weight)
+    residual, _ = reduce_vector(rep.coeffs, boundaries)
     if not residual:
         raise ZeroClassError("the class vanishes in homology")
     tight = NovikovChain(X.group, residual)
@@ -122,12 +123,6 @@ def spectrality_certificate(X: FilteredComplex, res: SpectralResult) -> Spectral
     return SpectralityCertificate(res.value, witness is not None, witness, attains)
 
 
-def _kernel_basis(X: FilteredComplex, degree: int):
-    cycles = X.cycle_basis(degree)
-    reduced, _ = orthogonalize([(c.coeffs, c.coeffs) for c in cycles], X.weight)
-    return reduced
-
-
 def bounded_boundary_solve(X: FilteredComplex, gamma: NovikovChain):
     """Level-minimal beta with boundary(beta) == gamma, plus the overhead.
 
@@ -139,13 +134,9 @@ def bounded_boundary_solve(X: FilteredComplex, gamma: NovikovChain):
     deg = X.degree_of(gamma)
     if deg == "mixed":
         raise DegreeError("solve expects a pure-degree chain")
-    boundaries = X.boundary_basis(deg)
-    residual, coeffs = reduce_vector(gamma.coeffs, boundaries, X.weight)
-    if residual:
+    beta_vec = X.decomposition(deg + 1).preimage(gamma.coeffs)
+    if beta_vec is None:
         raise NotABoundaryError("chain is not a boundary")
-    beta_vec = combination(coeffs, boundaries)
-    kernel = _kernel_basis(X, deg + 1)
-    beta_vec, _ = reduce_vector(beta_vec, kernel, X.weight)
     beta = NovikovChain(X.group, beta_vec)
     overhead = X.level(beta) - X.level(gamma)
     return beta, overhead
@@ -154,41 +145,30 @@ def bounded_boundary_solve(X: FilteredComplex, gamma: NovikovChain):
 def boundary_overhead_constant(X: FilteredComplex):
     """Upper bound for the solve overhead, uniform over the complex.
 
-    For each orthogonal boundary basis vector the minimal preimage level
-    is compared against the image level; the worst ratio bounds every
-    solve by level-orthogonality of the basis.
+    This is the boundary depth: the largest finite bar over the boundary
+    maps, each the worst overhead of a minimal preimage over its
+    level-orthogonal image basis, which bounds every solve.
     """
     worst = NEG_INFINITY
     for deg in X.degrees():
-        boundaries = X.boundary_basis(deg)
-        if not boundaries:
-            continue
-        kernel = _kernel_basis(X, deg + 1)
-        for r in boundaries:
-            pre, _ = reduce_vector(r.companion, kernel, X.weight)
-            gap = vec_level(pre, X.weight) - vec_level(r.vec, X.weight)
-            if gap > worst:
-                worst = gap
+        bar = X.decomposition(deg + 1).largest_bar
+        if bar > worst:
+            worst = bar
     return worst
 
 
-def _level_slice_cap(X: FilteredComplex, orbit_id: str, value):
-    """Cap lifting `orbit_id` exactly to level `value`, or None."""
-    need = X.weight(orbit_id) - value
-    return X.group.cap_with_omega(need)
-
-
 def _slice_coordinates(X: FilteredComplex, degree: int, value):
+    """Lifted generators (orbit id, cap) of `degree` exactly at level `value`."""
     coords = []
     for oid in X.orbit_ids(degree):
-        cap = _level_slice_cap(X, oid, value)
+        cap = X.group.cap_with_omega(X.weight(oid) - value)
         if cap is not None:
             coords.append((oid, cap))
     return coords
 
 
-def _slice_vector(X, vec: dict, coords, value) -> dict:
-    """Rational coordinates of the level-`value` part of a chain."""
+def _slice_vector(X, vec: dict, coords) -> dict:
+    """Rational coefficients of a chain at the lifted generators `coords`."""
     out = {}
     for oid, cap in coords:
         s = vec.get(oid)
@@ -199,6 +179,16 @@ def _slice_vector(X, vec: dict, coords, value) -> dict:
         if c:
             out[(oid, cap)] = c
     return out
+
+
+def equal_level_corrections(X: FilteredComplex, degree: int, value):
+    """Each image basis vector inside `degree`, in basis order, shifted by
+    the unique monomial that raises it exactly to level `value`; vectors
+    whose level differs from `value` by no period are skipped."""
+    for r in X.boundary_basis(degree):
+        cap = X.group.cap_with_omega(vec_level(r.vec, X.weight) - value)
+        if cap is not None:
+            yield vec_scale(r.vec, NovikovScalar.monomial(X.group, cap))
 
 
 def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
@@ -218,30 +208,20 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
     value = res.value
     coords = _slice_coordinates(X, deg, value)
     marked_coords = [(oid, cap) for (oid, cap) in coords if oid in marked]
-    r_slice = _slice_vector(X, res.tight_cycle.coeffs, coords, value)
+    r_slice = _slice_vector(X, res.tight_cycle.coeffs, coords)
     if all(r_slice.get(mc, Fraction(0)) == 0 for mc in marked_coords):
         return True, res.tight_cycle
 
-    # available equal-level corrections: each orthogonal boundary vector,
-    # shifted by the unique monomial that raises it exactly to the top level
-    boundaries = X.boundary_basis(deg)
-    adjusters = []
-    for r in boundaries:
-        lvl = vec_level(r.vec, X.weight)
-        cap = X.group.cap_with_omega(lvl - value)
-        if cap is None:
-            continue
-        mono = NovikovScalar.monomial(X.group, cap)
-        shifted = vec_scale(r.vec, mono)
-        adjusters.append((shifted, _slice_vector(X, shifted, coords, value)))
-
-    # rational elimination on the marked slice coordinates
-    target = {mc: r_slice.get(mc, Fraction(0)) for mc in marked_coords}
-    rows = marked_coords
-    cols = []
-    for shifted, sl in adjusters:
-        cols.append(([sl.get(mc, Fraction(0)) for mc in rows], shifted))
-    sol = _solve_rational([c[0] for c in cols], [target[mc] for mc in rows])
+    # rational elimination of the marked slice coordinates by the
+    # equal-level corrections
+    adjusters = [
+        (shifted, _slice_vector(X, shifted, coords))
+        for shifted in equal_level_corrections(X, deg, value)
+    ]
+    sol = _solve_rational(
+        [[sl.get(mc, Fraction(0)) for mc in marked_coords] for _, sl in adjusters],
+        [r_slice.get(mc, Fraction(0)) for mc in marked_coords],
+    )
     if sol is None:
         return False, res.tight_cycle
     adjusted_vec = dict(res.tight_cycle.coeffs)

@@ -66,6 +66,23 @@ class TestRun:
         assert h["gamma"]["q"] == "1/5"
         assert h["positive"] is False
 
+    def test_hofer_sweep(self, tmp_path):
+        cfg = json.loads((GOLDEN / "hofer_cos.json").read_text())
+        cfg.update(seed=7, hofer_sweep=5)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(path, out) == 0
+        lines = (out / "hofer_sweep.csv").read_text().splitlines()
+        assert lines[0] == "f,g,rho_f,rho_g,rho_sum,subadditive,continuity"
+        assert len(lines) == 1 + 5
+        # the seed fixes the drawn pairs, coefficients in eighths
+        f, g = lines[1].split(",")[:2]
+        assert f.startswith("(2/8)*cos(1*theta) + (-4/8)*sin(1*theta)")
+        assert g.startswith("(3/8)*cos(1*theta) + (-7/8)*sin(1*theta)")
+        sweep = json.loads((out / "report.json").read_text())["results"]["hofer_sweep"]
+        assert sweep == {"rows": 5, "all_subadditive": True, "all_continuous": True}
+
     def test_abstract_family_round_trip(self, tmp_path):
         cfg = {
             "family": {

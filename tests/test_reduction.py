@@ -5,7 +5,8 @@ homotopies apply through it, and elimination updates its private copies
 with it in place.  Each is compared against a plain reference computed
 here, over the trivial, the discrete <1> and the dense <1, sqrt 2> period
 groups, with inputs that cancel exactly to zero.  The aliasing test pins
-that no caller-owned dict is touched by an in-place update.
+that no caller-owned dict is touched by an in-place update.  The last test
+checks the level-minimal preimages of a boundary map's `Decomposition`.
 """
 
 import random
@@ -18,7 +19,13 @@ from _random_complexes import random_complex
 from floermini.action import ActionValue, NovikovScalar, make_period_group
 from floermini.complexes import NovikovChain
 from floermini.continuation import ChainHomotopy, ChainMap
-from floermini.reduction import combination, orthogonalize, reduce_vector, vec_axpy
+from floermini.reduction import (
+    combination,
+    orthogonalize,
+    reduce_vector,
+    vec_axpy,
+    vec_level,
+)
 
 GROUPS = {
     "trivial": lambda: make_period_group([], []),
@@ -182,3 +189,36 @@ def test_updates_never_touch_caller_dicts(seed, kind):
     assert x.coeffs == xs and y.coeffs == ys
     assert results[0] - results[1] == y.scaled(2)
     assert results[3].is_zero()
+
+
+@settings(max_examples=40)
+@given(seed=seeds, kind=groups)
+def test_decomposition_preimage_is_exact_and_level_minimal(seed, kind):
+    rng = random.Random(seed)
+    G = GROUPS[kind]()
+    X, _ = random_complex(rng, group=G)
+    one = NovikovScalar.one(G)
+    classes = X.homology_basis()
+    for k in X.degrees():
+        dec = X.decomposition(k)  # d out of degree k, into degree k - 1
+        target = X.boundary_of(NovikovChain(G, _vector(rng, G, X.orbit_ids(k))))
+        pre = dec.preimage(target.coeffs)
+        assert X.boundary_of(NovikovChain(G, pre)) == target
+        # no kernel vector lowers the level, not even one scaled to cancel
+        # a coordinate of the preimage
+        level = vec_level(pre, X.weight)
+        for z in dec.kernel_basis:
+            scalars = [_scalar(rng, G)]
+            scalars += [-(pre[i] / z.vec[i]) for i in z.vec if i in pre]
+            for u in scalars:
+                assert vec_level(vec_axpy(dict(pre), u, z.vec), X.weight) >= level
+        # off the image: a chain with a nonzero boundary, or a boundary
+        # plus a homology class representative
+        for oid in X.orbit_ids(k - 1):
+            off = vec_axpy(dict(target.coeffs), _scalar(rng, G), {oid: one})
+            if X.boundary_of(NovikovChain(G, off)):
+                assert dec.preimage(off) is None
+        for c in classes:
+            if c.degree == k - 1:
+                off = vec_axpy(dict(target.coeffs), None, c.representative.coeffs)
+                assert dec.preimage(off) is None

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floermini.action import ActionValue, NEG_INFINITY, NovikovScalar, make_period_group
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
-from floermini import spectral
+from floermini import complexes, continuation, reduction, spectral
 from floermini.errors import ComplexStructureError, NotABoundaryError, ZeroClassError
 from floermini.spectral import (
     boundary_overhead_constant,
@@ -15,6 +18,7 @@ from floermini.spectral import (
 )
 
 import _oracles
+from _random_complexes import random_complex
 
 
 def sqrt2(scale=1):
@@ -231,3 +235,61 @@ class TestPeakAvoidanceErrors:
         )
         with pytest.raises(ComplexStructureError, match=r"marked orbits \['zminus'\]"):
             peak_avoidance_check(X, cls, ["zplus", "zminus"])
+
+
+class TestOneDecompositionPerBoundaryMap:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_overhead_constant_is_the_boundary_depth(self, seed):
+        # over the trivial group the finite-chain oracle is exact
+        X, _ = random_complex(random.Random(seed), group=make_period_group([], []))
+        const = boundary_overhead_constant(X)
+        depth, attained = NEG_INFINITY, None
+        for k in X.degrees():
+            for r in X.boundary_basis(k):
+                gamma = NovikovChain(X.group, r.vec)
+                gap = _oracles.brute_force_min_preimage_level(X, gamma) - X.level(gamma)
+                if gap > depth:
+                    depth, attained = gap, gamma
+        assert const == depth
+        if attained is not None:
+            _, overhead = bounded_boundary_solve(X, attained)
+            assert overhead == const
+
+    def test_each_kernel_basis_is_built_once(self, dense_group, monkeypatch):
+        rng = random.Random(11)
+        X, _ = random_complex(rng, group=dense_group)
+        calls = []
+        real = reduction.orthogonalize
+
+        def spy(columns, weight, *args, **kwargs):
+            calls.append(1)
+            return real(columns, weight, *args, **kwargs)
+
+        for mod in (reduction, complexes, spectral, continuation):
+            if hasattr(mod, "orthogonalize"):
+                monkeypatch.setattr(mod, "orthogonalize", spy)
+
+        degrees = X.degrees()
+        classes = X.homology_basis()
+        for c in classes:
+            rho(X, c)
+        # d out of each degree k and k + 1, one class basis per degree
+        maps = {d for k in degrees for d in (k, k + 1)}
+        assert len(calls) <= len(maps) + len(degrees)
+        assert classes and X.boundary_basis(0) and X.boundary_basis(1)
+
+        before = len(calls)
+        boundary_overhead_constant(X)
+        kernel_bases = len(calls) - before
+        assert kernel_bases <= len([k for k in degrees if X.boundary_basis(k)])
+
+        # the solves reuse the kernel bases built for the constant
+        before = len(calls)
+        for k in (0, 1, 0):
+            src = X.orbit_ids(k + 1)
+            chain = NovikovChain(X.group, {o: NovikovScalar.one(X.group) for o in src})
+            gamma = X.boundary_of(chain)
+            beta, _ = bounded_boundary_solve(X, gamma)
+            assert X.boundary_of(beta) == gamma
+        assert len(calls) == before
