@@ -2,12 +2,17 @@
 
 Values live in the quadratic field Q(sqrt(d)) for one declared non-square
 d >= 2 (d = 0 means purely rational).  Ordering is decided by exact sign
-computation in the field, never by floating point.
+computation in the field, never by floating point.  Caps are ordered by
+omega without building values: a period group keeps its generators in
+integer form, so comparing two caps is the sign of X + Y sqrt(d) for
+integers X, Y.
 
 Novikov scalars are stored as exact fractions num/den of finitely supported
-group-ring elements over the period group, in lowest terms.  Any
-truncation window can be materialized deterministically from the
-fraction, so "widening a window" is recomputation, never mutation.
+group-ring elements over the period group, in lowest terms.  A product of
+reduced a/b and c/d is cross-cancelled, gcd(ac, bd) = gcd(a, d) gcd(c, b),
+so a monomial factor takes no gcd.  Any truncation window can be
+materialized deterministically from the fraction, so "widening a window"
+is recomputation, never mutation.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import ZZ
 from sympy.polys.rings import ring
 
 from .errors import (
@@ -54,6 +59,20 @@ def _as_fraction(x) -> Fraction:
     # anything else is refused, floats included: Fraction(0.1) is the binary
     # float 3602879701896397/2**55, not 1/10
     raise ConstantClassError(f"not an exact rational: {x!r}")
+
+
+_ONE = Fraction(1)
+
+
+def _sign(x, y, d: int) -> int:
+    """Exact sign of x + y*sqrt(d) for rationals (or integers) x, y and a
+    non-square d: opposite signs are settled by comparing x^2 with y^2 d."""
+    if not y:
+        return (x > 0) - (x < 0)
+    sy = 1 if y > 0 else -1
+    if x * sy >= 0 or y * y * d > x * x:
+        return sy
+    return -sy
 
 
 def _is_square(n: int) -> bool:
@@ -139,6 +158,14 @@ class ActionValue:
         self.d = d
 
     @staticmethod
+    def _make(q: Fraction, r: Fraction, d: int) -> "ActionValue":
+        """Trusted constructor for internal arithmetic: q and r are Fractions
+        and d is a checked base (or 0); d drops to 0 when r == 0."""
+        out = object.__new__(ActionValue)
+        out.q, out.r, out.d = q, r, (d if r else 0)
+        return out
+
+    @staticmethod
     def rational(x) -> "ActionValue":
         return ActionValue(_as_fraction(x))
 
@@ -167,8 +194,10 @@ class ActionValue:
         if isinstance(other, _Infinity):
             return other
         other = ActionValue.coerce(other)
+        if not (self.d or other.d):  # both rational: r is 0 on both sides
+            return ActionValue._make(self.q + other.q, self.r, 0)
         d = self._common_d(other)
-        return ActionValue(self.q + other.q, self.r + other.r, d)
+        return ActionValue._make(self.q + other.q, self.r + other.r, d)
 
     __radd__ = __add__
 
@@ -176,53 +205,39 @@ class ActionValue:
         if isinstance(other, _Infinity):
             return -other
         other = ActionValue.coerce(other)
+        if not (self.d or other.d):
+            return ActionValue._make(self.q - other.q, self.r, 0)
         d = self._common_d(other)
-        return ActionValue(self.q - other.q, self.r - other.r, d)
+        return ActionValue._make(self.q - other.q, self.r - other.r, d)
 
     def __rsub__(self, other):
         return ActionValue.coerce(other) - self
 
     def __neg__(self):
-        return ActionValue(-self.q, -self.r, self.d)
+        return ActionValue._make(-self.q, -self.r, self.d)
 
     def __mul__(self, other):
         other = ActionValue.coerce(other)
         d = self._common_d(other)
         if self.r != 0 and other.r != 0:
-            return ActionValue(
+            return ActionValue._make(
                 self.q * other.q + self.r * other.r * d,
                 self.q * other.r + self.r * other.q,
                 d,
             )
-        return ActionValue(self.q * other.q, self.q * other.r + self.r * other.q, d)
+        return ActionValue._make(self.q * other.q, self.q * other.r + self.r * other.q, d)
 
     __rmul__ = __mul__
 
     def scaled(self, c) -> "ActionValue":
         c = _as_fraction(c)
-        return ActionValue(self.q * c, self.r * c, self.d)
+        return ActionValue._make(self.q * c, self.r * c, self.d)
 
     # -- ordering ----------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign of q + r*sqrt(d)."""
-        q, r = self.q, self.r
-        if r == 0:
-            return (q > 0) - (q < 0)
-        if q == 0:
-            return (r > 0) - (r < 0)
-        if q > 0 and r > 0:
-            return 1
-        if q < 0 and r < 0:
-            return -1
-        # opposite signs: compare q^2 against r^2 d, sign follows the larger side
-        lhs = q * q
-        rhs = r * r * self.d
-        if lhs == rhs:  # impossible for non-square d, kept defensive
-            return 0
-        if q > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return _sign(self.q, self.r, self.d)
 
     def is_zero(self) -> bool:
         return self.q == 0 and self.r == 0
@@ -238,27 +253,37 @@ class ActionValue:
         return self.q == other.q and self.r == other.r
 
     def __hash__(self):
+        # equal values hash equal: a rational value (r == 0, so d == 0)
+        # equals its Fraction and must hash like it
+        if not self.r:
+            return hash(self.q)
         return hash((self.q, self.r, self.d))
+
+    def _cmp(self, other: "ActionValue") -> int:
+        """Exact sign of self - other."""
+        if not (self.d or other.d):
+            return (self.q > other.q) - (self.q < other.q)
+        return (self - other).sign()
 
     def __lt__(self, other):
         if isinstance(other, _Infinity):
             return other.sign > 0
-        return (self - ActionValue.coerce(other)).sign() < 0
+        return self._cmp(ActionValue.coerce(other)) < 0
 
     def __le__(self, other):
         if isinstance(other, _Infinity):
             return other.sign > 0
-        return (self - ActionValue.coerce(other)).sign() <= 0
+        return self._cmp(ActionValue.coerce(other)) <= 0
 
     def __gt__(self, other):
         if isinstance(other, _Infinity):
             return other.sign < 0
-        return (self - ActionValue.coerce(other)).sign() > 0
+        return self._cmp(ActionValue.coerce(other)) > 0
 
     def __ge__(self, other):
         if isinstance(other, _Infinity):
             return other.sign < 0
-        return (self - ActionValue.coerce(other)).sign() >= 0
+        return self._cmp(ActionValue.coerce(other)) >= 0
 
     # -- presentation --------------------------------------------------------
 
@@ -292,7 +317,7 @@ class PeriodGroup:
     at two.  Injectivity gives every nonzero scalar a unique leading term.
     """
 
-    __slots__ = ("values", "c1_weights", "rank", "d")
+    __slots__ = ("values", "c1_weights", "rank", "d", "zero_cap", "_ints", "_omega_memo")
 
     def __init__(self, values: Iterable[ActionValue], c1_weights: Iterable[int]):
         values = tuple(ActionValue.coerce(v) for v in values)
@@ -324,10 +349,12 @@ class PeriodGroup:
         self.c1_weights = c1_weights
         self.rank = len(values)
         self.d = d
-
-    @property
-    def zero_cap(self) -> tuple:
-        return (0,) * self.rank
+        self.zero_cap = (0,) * self.rank
+        # integer form: L * values[i] == a_i + b_i sqrt(d) for one common
+        # L > 0, so L * omega(cap) == X + Y sqrt(d) with X, Y integers
+        scale = math.lcm(*(x.denominator for v in values for x in (v.q, v.r)))
+        self._ints = tuple((int(v.q * scale), int(v.r * scale)) for v in values)
+        self._omega_memo = {}
 
     def check_cap(self, cap) -> tuple:
         cap = tuple(int(c) for c in cap)
@@ -336,12 +363,31 @@ class PeriodGroup:
         return cap
 
     def omega(self, cap) -> ActionValue:
+        try:
+            return self._omega_memo[cap]
+        except (KeyError, TypeError):  # a new cap, or an unhashable list
+            pass
         cap = self.check_cap(cap)
-        out = ActionValue(0, 0, self.d)
+        q = r = Fraction(0)
         for c, v in zip(cap, self.values):
             if c:
-                out = out + v.scaled(c)
+                q += v.q * c
+                r += v.r * c
+        out = self._omega_memo[cap] = ActionValue._make(q, r, self.d)
         return out
+
+    def lowest(self, caps):
+        """The cap of least omega among the nonempty `caps` (unique: omega is
+        injective), by exact integer signs; no ActionValue is built."""
+        if self.rank < 2:  # one generator or none: order by its sign
+            return min(caps) if sum(map(sum, self._ints)) >= 0 else max(caps)
+        (a0, b0), (a1, b1) = self._ints
+        best = bx = by = None
+        for cap in caps:
+            x, y = cap[0] * a0 + cap[1] * a1, cap[0] * b0 + cap[1] * b1
+            if best is None or _sign(x - bx, y - by, self.d) < 0:
+                best, bx, by = cap, x, y
+        return best
 
     def c1(self, cap) -> int:
         cap = self.check_cap(cap)
@@ -359,36 +405,23 @@ class PeriodGroup:
     def cap_with_omega(self, target: ActionValue):
         """The unique cap with omega(cap) == target, or None.
 
-        Uniqueness comes from independence; existence is an integrality
-        check on the rational coordinates.
+        Uniqueness comes from independence: the rational generator solves
+        for q, the sqrt(d) one for r; existence is an integrality check.
         """
         target = ActionValue.coerce(target)
         if target.d and self.d and target.d != self.d:
             raise BasisMismatchError("membership query over a different sqrt base")
-        coeffs = []
-        # values are independent: solve one rational equation per basis line
-        coords = {}
-        for i, v in enumerate(self.values):
-            if v.r == 0:
-                coords["q"] = (i, v.q)
+        q, r, sol = target.q, target.r, []
+        for v in self.values:  # each coordinate consumed by its one generator
+            if v.q:
+                sol.append(q / v.q)
+                q = 0
             else:
-                coords["r"] = (i, v.r)
-        sol = [Fraction(0)] * self.rank
-        if "q" in coords:
-            i, base = coords["q"]
-            sol[i] = target.q / base
-        elif target.q != 0:
+                sol.append(r / v.r)
+                r = 0
+        if q or r or any(x.denominator != 1 for x in sol):
             return None
-        if "r" in coords:
-            i, base = coords["r"]
-            sol[i] = target.r / base
-        elif target.r != 0:
-            return None
-        for x in sol:
-            if x.denominator != 1:
-                return None
-            coeffs.append(int(x))
-        return tuple(coeffs)
+        return tuple(int(x) for x in sol)
 
     def __eq__(self, other):
         return (
@@ -453,6 +486,13 @@ def compare(a: ActionValue, b: ActionValue) -> int:
 
 
 def _terms_mul(a: dict, b: dict) -> dict:
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:  # a monomial factor shifts keys one to one: nothing to merge
+        ((cb, vb),) = b.items()
+        if not any(cb):
+            return {ca: va * vb for ca, va in a.items()}
+        return {tuple(x + y for x, y in zip(ca, cb)): va * vb for ca, va in a.items()}
     out: dict = {}
     for ca, va in a.items():
         for cb, vb in b.items():
@@ -480,28 +520,25 @@ def _terms_add(a: dict, b: dict) -> dict:
 
 @functools.cache
 def _poly_ring(rank: int):
-    return ring(",".join(f"x{i}" for i in range(rank)), QQ)[0]
+    return ring(",".join(f"x{i}" for i in range(rank)), ZZ)[0]
 
 
 def _to_poly(R, terms: dict):
-    """Polynomial of `terms` times the monomial clearing negative exponents."""
+    """Integer polynomial of L * `terms` times the monomial clearing negative
+    exponents, for the least L > 0 clearing the denominators; (poly, low, L)."""
     low = tuple(min(exps) for exps in zip(*terms))
+    scale = math.lcm(*(v.denominator for v in terms.values()))
     poly = R.from_dict(
         {
-            tuple(x - m for x, m in zip(cap, low)): QQ(v.numerator, v.denominator)
+            tuple(x - m for x, m in zip(cap, low)): v.numerator * (scale // v.denominator)
             for cap, v in terms.items()
         }
     )
-    return poly, low
+    return poly, low, scale
 
 
-def _from_poly(poly, low: tuple) -> dict:
-    return {
-        tuple(x + m for x, m in zip(exps, low)): Fraction(
-            int(v.numerator), int(v.denominator)
-        )
-        for exps, v in poly.items()
-    }
+def _from_poly(poly, low: tuple, scale: int) -> dict:
+    return {tuple(x + m for x, m in zip(e, low)): Fraction(v * scale) for e, v in poly.items()}
 
 
 def _terms_cancel(num: dict, den: dict, rank: int):
@@ -509,25 +546,34 @@ def _terms_cancel(num: dict, den: dict, rank: int):
 
     Monomials are units, so the gcd is taken of the polynomials left after
     shifting every exponent to be non-negative.  A monomial on either side
-    leaves nothing to cancel.
+    leaves nothing to cancel.  The result is num/den up to one rational
+    factor shared by both sides, which the leading-term normalization fixes.
     """
     if rank == 0 or len(num) < 2 or len(den) < 2:
         return num, den
     R = _poly_ring(rank)
-    p, p_low = _to_poly(R, num)
-    q, q_low = _to_poly(R, den)
+    p, p_low, p_scale = _to_poly(R, num)
+    q, q_low, q_scale = _to_poly(R, den)
     g, p, q = p.cofactors(q)
     if g.is_ground:
         return num, den
-    return _from_poly(p, p_low), _from_poly(q, q_low)
+    # num/den = (q_scale * p) / (p_scale * q)
+    return _from_poly(p, p_low, q_scale), _from_poly(q, q_low, p_scale)
 
 
-def _terms_scale(a: dict, c: Fraction, shift: tuple) -> dict:
-    if not a:
-        return {}
-    if not shift or all(s == 0 for s in shift):
-        return {cap: v * c for cap, v in a.items()}
-    return {tuple(x + y for x, y in zip(cap, shift)): v * c for cap, v in a.items()}
+def _lead_to_one(group: PeriodGroup, num: dict, den: dict):
+    """(num, den) times the unit c * q^A that makes the leading term of den
+    1 * q^0; for coprime num and den this is the reduced form, with no gcd."""
+    cap0 = group.lowest(den)
+    inv = 1 / den[cap0]
+    if any(cap0):
+        return tuple(
+            {tuple(x - y for x, y in zip(c, cap0)): v * inv for c, v in t.items()}
+            for t in (num, den)
+        )
+    if inv == 1:
+        return num, den
+    return {c: v * inv for c, v in num.items()}, {c: v * inv for c, v in den.items()}
 
 
 class NovikovScalar:
@@ -537,6 +583,9 @@ class NovikovScalar:
     polynomials, and the leading (minimal-omega) term of den is 1 * q^0.
     Zero is 0/1.  Reduced fractions are unique, and they keep elimination
     over dense period groups from swelling through un-cancelled products.
+    `*` and `/` cancel each side of one operand against the other operand
+    (the inputs are reduced, so that is the whole gcd) and then only scale
+    den's leading term, found by the group's integer cap order, to 1.
 
     The support map below any window level is materialized on demand with
     `terms_below`; the result is guaranteed complete below the requested
@@ -547,13 +596,15 @@ class NovikovScalar:
 
     def __init__(self, group: PeriodGroup, num: dict, den: dict | None = None):
         self.group = group
-        self.num = {k: v for k, v in num.items() if v}
-        if den is None:
-            den = {group.zero_cap: Fraction(1)}
-        den = {k: v for k, v in den.items() if v}
+        num = {k: v for k, v in num.items() if v}
+        den = {group.zero_cap: _ONE} if den is None else {k: v for k, v in den.items() if v}
         if not den:
             raise ZeroScalarError("zero denominator")
-        self.num, self.den = self._normalized(self.num, den)
+        if num:
+            num, den = _terms_cancel(num, den, group.rank)
+            self.num, self.den = _lead_to_one(group, num, den)
+        else:
+            self.num, self.den = num, {group.zero_cap: _ONE}
 
     @classmethod
     def _reduced(cls, group: PeriodGroup, num: dict, den: dict) -> "NovikovScalar":
@@ -561,27 +612,6 @@ class NovikovScalar:
         out = object.__new__(cls)
         out.group, out.num, out.den = group, num, den
         return out
-
-    def _leading(self, terms: dict):
-        """Support element of minimal omega (unique: omega is injective)."""
-        best = None
-        best_val = None
-        for cap in terms:
-            val = self.group.omega(cap)
-            if best is None or val < best_val:
-                best, best_val = cap, val
-        return best, terms[best], best_val
-
-    def _normalized(self, num: dict, den: dict):
-        if not num:
-            return num, {self.group.zero_cap: Fraction(1)}
-        num, den = _terms_cancel(num, den, self.group.rank)
-        cap0, c0, _ = self._leading(den)
-        if c0 == 1 and all(x == 0 for x in cap0):
-            return num, den
-        shift = tuple(-x for x in cap0)
-        inv = 1 / c0
-        return _terms_scale(num, inv, shift), _terms_scale(den, inv, shift)
 
     # -- constructors --------------------------------------------------------
 
@@ -614,12 +644,13 @@ class NovikovScalar:
 
     @property
     def is_finite(self) -> bool:
-        return self.den == {self.group.zero_cap: Fraction(1)}
+        # a one-term den is 1 * q^0: its leading term is normalized
+        return len(self.den) == 1
 
     # -- field arithmetic ------------------------------------------------------
 
     def _check(self, other: "NovikovScalar"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise BasisMismatchError("scalars over different period groups")
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
@@ -640,17 +671,29 @@ class NovikovScalar:
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        return NovikovScalar(
-            self.group, _terms_mul(self.num, other.num), _terms_mul(self.den, other.den)
-        )
+        if not self.num or not other.num:
+            return NovikovScalar.zero(self.group)
+        # (a/b)(c/d), both reduced: gcd(ac, bd) = gcd(a, d) gcd(c, b)
+        rank = self.group.rank
+        a, d = _terms_cancel(self.num, other.den, rank)
+        c, b = _terms_cancel(other.num, self.den, rank)
+        num, den = _terms_mul(a, c), _terms_mul(b, d)
+        if b is not self.den or d is not other.den:  # else lead(bd) is 1
+            num, den = _lead_to_one(self.group, num, den)
+        return NovikovScalar._reduced(self.group, num, den)
 
     def __truediv__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
         if other.is_zero():
             raise ZeroScalarError("division by the zero scalar")
-        return NovikovScalar(
-            self.group, _terms_mul(self.num, other.den), _terms_mul(self.den, other.num)
-        )
+        if not self.num:
+            return NovikovScalar.zero(self.group)
+        # (a/b)/(c/d) = ad/(bc), both reduced: gcd(ad, bc) = gcd(a, c) gcd(d, b)
+        rank = self.group.rank
+        a, c = _terms_cancel(self.num, other.num, rank)
+        d, b = _terms_cancel(other.den, self.den, rank)
+        num, den = _lead_to_one(self.group, _terms_mul(a, d), _terms_mul(b, c))
+        return NovikovScalar._reduced(self.group, num, den)
 
     def scale(self, c) -> "NovikovScalar":
         c = _as_fraction(c)
@@ -664,7 +707,9 @@ class NovikovScalar:
     def invert(self) -> "NovikovScalar":
         if self.is_zero():
             raise ZeroScalarError("the zero scalar has no inverse")
-        return NovikovScalar(self.group, self.den, self.num)
+        # den/num is as coprime as num/den
+        num, den = _lead_to_one(self.group, dict(self.den), dict(self.num))
+        return NovikovScalar._reduced(self.group, num, den)
 
     def __eq__(self, other):
         if not isinstance(other, NovikovScalar):
@@ -681,15 +726,14 @@ class NovikovScalar:
         """min omega over the support; +inf sentinel for the zero scalar."""
         if self.is_zero():
             return POS_INFINITY
-        _, _, val = self._leading(self.num)
-        return val  # den is normalized to valuation 0
+        return self.group.omega(self.group.lowest(self.num))  # den has valuation 0
 
     def leading_term(self):
         """(cap, coefficient) of the minimal-omega support element."""
         if self.is_zero():
             raise ZeroScalarError("the zero scalar has no leading term")
-        cap, coeff, _ = self._leading(self.num)
-        return cap, coeff
+        cap = self.group.lowest(self.num)
+        return cap, self.num[cap]
 
     # -- windowed materialization ----------------------------------------------
 
@@ -710,7 +754,7 @@ class NovikovScalar:
         del w[self.group.zero_cap]
         if not w:
             return {c: v for c, v in self.num.items() if self.group.omega(c) <= window}
-        _, _, delta = self._leading(w)
+        delta = self.group.omega(self.group.lowest(w))
         acc = dict(self.num)  # running num * (-w)^k
         out: dict = {}
         reach = self.valuation()
@@ -767,13 +811,6 @@ class NovikovScalar:
         )
 
 
-def scalar_valuation(u: NovikovScalar):
-    return u.valuation()
-
-
-def leading_term(u: NovikovScalar):
-    return u.leading_term()
-
-
-def invert(u: NovikovScalar) -> NovikovScalar:
-    return u.invert()
+scalar_valuation = NovikovScalar.valuation
+leading_term = NovikovScalar.leading_term
+invert = NovikovScalar.invert

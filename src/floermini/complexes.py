@@ -200,7 +200,7 @@ class FilteredComplex:
                             f"entry {src}->{tgt} cap {cap} breaks the degree convention"
                         )
                     drop = s_orb.level - t_orb.level + self.group.omega(cap)
-                    if not drop > ActionValue.rational(0):
+                    if drop.sign() <= 0:
                         raise FiltrationError(
                             f"entry {src}->{tgt} cap {cap} does not lower the level "
                             f"(drop {drop!r})"

@@ -1,7 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floermini.action import (
     ActionValue,
@@ -293,3 +296,170 @@ class TestNovikovScalar:
             assert got.num is not u.num and got.den is not u.den
         zero = fractions[0].scale(0)
         assert zero.is_zero() and zero.den == {G.zero_cap: Fraction(1)}
+
+
+class TestEqualityAndHash:
+    def test_rational_values_hash_as_their_fraction(self):
+        assert len({ActionValue(2), 2, Fraction(2)}) == 1
+        assert hash(ActionValue(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+        # the sqrt part cancels: the difference is rational, with d == 0
+        diff = ActionValue(Fraction(5, 2), 3, 2) - ActionValue(0, 3, 2)
+        assert diff.d == 0 and diff == Fraction(5, 2)
+        assert hash(diff) == hash(Fraction(5, 2))
+        assert len({diff, Fraction(5, 2), ActionValue(Fraction(5, 2))}) == 1
+        prod = sqrt2(3) * sqrt2()  # 3 sqrt 2 * sqrt 2 == 6
+        assert prod.d == 0 and hash(prod) == hash(6)
+        assert len({sqrt2(), ActionValue(0, 1, 2), ActionValue(1)}) == 2
+
+
+# -- differential tests of the cross-cancelled product and quotient ----------
+
+SCALAR_GROUPS = {
+    "trivial": lambda: make_period_group([], []),
+    "int": lambda: make_period_group([1], [0]),
+    "sqrt": lambda: make_period_group([sqrt2(3)], [0]),
+    "dense": lambda: make_period_group([ActionValue(1), sqrt2()], [0, 0]),
+}
+SHAPES = ("zero", "monomial", "finite", "fraction")
+
+
+def _poly(rng, G, terms):
+    out = {}
+    for _ in range(terms):
+        cap = tuple(rng.randint(-2, 2) for _ in range(G.rank))
+        out[cap] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Plain product of Laurent polynomials {cap: Fraction}."""
+    out: dict = {}
+    for ca, va in a.items():
+        for cb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ca, cb))
+            out[key] = out.get(key, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def _scalar(rng, G, shape, top, bottom):
+    """A scalar of the given shape; a fraction carries the factors `top`
+    and `bottom` in its num and den, so products and quotients cancel."""
+    if shape == "zero":
+        return NovikovScalar.zero(G)
+    if shape == "monomial":
+        return NovikovScalar.from_terms(G, _poly(rng, G, 1))
+    if shape == "finite":
+        return NovikovScalar.from_terms(G, _poly(rng, G, rng.randint(2, 3)))
+    num = _mul(_poly(rng, G, rng.randint(1, 3)), top)
+    den = _mul(_poly(rng, G, rng.randint(2, 3)), bottom)
+    return NovikovScalar(G, num, den)
+
+
+def _assert_same(got, ref):
+    assert got.num == ref.num and got.den == ref.den
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(SCALAR_GROUPS)),
+    shapes=st.tuples(st.sampled_from(SHAPES), st.sampled_from(SHAPES)),
+)
+def test_product_and_quotient_match_the_full_gcd_route(seed, kind, shapes):
+    """u * v and u / v equal NovikovScalar(G, num, den) on the un-cancelled
+    num and den, which divides the whole product by its gcd."""
+    rng = random.Random(seed)
+    G = SCALAR_GROUPS[kind]()
+    s, t = _poly(rng, G, 2), _poly(rng, G, 2)
+    u = _scalar(rng, G, shapes[0], s, t)
+    v = _scalar(rng, G, shapes[1], *rng.choice([(s, t), (t, s)]))
+    _assert_same(u * v, NovikovScalar(G, _mul(u.num, v.num), _mul(u.den, v.den)))
+    _assert_same(v * u, u * v)
+    if v:
+        _assert_same(u / v, NovikovScalar(G, _mul(u.num, v.den), _mul(u.den, v.num)))
+        _assert_same((u / v) * v, u)
+    if u:
+        _assert_same(u.invert(), NovikovScalar(G, dict(u.den), dict(u.num)))
+
+
+def test_a_monomial_factor_takes_no_gcd(monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    G = SCALAR_GROUPS["dense"]()
+    p = NovikovScalar.from_terms(G, {(0, 0): 2, (1, -1): -3, (2, 1): 1})
+    q = NovikovScalar.from_terms(G, {(0, 0): 1, (0, 1): Fraction(5, 7), (-1, 2): 4})
+    fraction = p / q
+    monomials = [NovikovScalar.monomial(G, (1, -2), Fraction(-3, 2)), NovikovScalar.one(G)]
+    calls = []
+    real = PolyElement.cofactors
+    monkeypatch.setattr(PolyElement, "cofactors", lambda f, g: calls.append(1) or real(f, g))
+    results = []
+    for m in monomials:
+        results += [(fraction * m, "*"), (m * fraction, "*"), (m / fraction, "/")]
+    assert calls == []
+    monkeypatch.setattr(PolyElement, "cofactors", real)
+    for (got, op), m in zip(results, [x for x in monomials for _ in range(3)]):
+        if op == "*":
+            ref = NovikovScalar(G, _mul(fraction.num, m.num), _mul(fraction.den, m.den))
+        else:
+            ref = NovikovScalar(G, _mul(m.num, fraction.den), _mul(m.den, fraction.num))
+        _assert_same(got, ref)
+
+
+# -- the integer cap order ----------------------------------------------------
+
+ORDER_GROUPS = [
+    make_period_group([Fraction(-1, 2), ActionValue.sqrt(3, 3)], [0, 0]),
+    make_period_group([ActionValue.sqrt(5, Fraction(2, 3)), Fraction(7, 4)], [0, 0]),
+    make_period_group([ActionValue(1), sqrt2()], [0, 0]),
+    make_period_group([Fraction(5, 3)], [0]),
+    make_period_group([ActionValue.sqrt(5, -1)], [0]),
+    make_period_group([-2], [0]),
+    make_period_group([], []),
+]
+
+
+def _reference_leading(G, terms):
+    """Least omega over the support by ActionValue comparisons."""
+    best = None
+    for cap in terms:
+        if best is None or G.omega(cap) < G.omega(best):
+            best = cap
+    return best
+
+
+@pytest.mark.parametrize("G", ORDER_GROUPS, ids=repr)
+def test_integer_cap_order_matches_action_values(G):
+    import itertools
+
+    box = [tuple(c) for c in itertools.product(range(-4, 5), repeat=G.rank)]
+    supports = [box, box[::-1]]
+    r = random.Random(3)
+    supports += [r.sample(box, r.randint(1, min(6, len(box)))) for _ in range(300)]
+    for support in supports:
+        u = NovikovScalar.from_terms(G, {cap: i + 1 for i, cap in enumerate(support)})
+        cap = _reference_leading(G, u.num)
+        assert leading_term(u) == (cap, u.num[cap])
+        assert scalar_valuation(u) == G.omega(cap)
+        assert all(G.omega(cap) < G.omega(c) for c in u.num if c != cap)
+    # cap_with_omega inverts omega on the box and refuses non-members
+    for cap in box:
+        assert G.cap_with_omega(G.omega(cap)) == cap
+        assert G.cap_with_omega(G.omega(cap) + Fraction(1, 7)) is None
+        assert G.cap_with_omega(G.omega(cap) + ActionValue.sqrt(G.d or 7, Fraction(1, 7))) is None
+
+
+def test_omega_memo_keeps_the_cap_checks():
+    G = make_period_group([Fraction(-1, 2), ActionValue.sqrt(3, 3)], [0, 0])
+    first = G.omega((2, -1))
+    assert G.omega((2, -1)) is first  # a memo hit
+    assert G.omega([2, -1]) == first and G.omega([2, -1]).d == 3
+    assert first == ActionValue(-1, -3, 3)
+    for bad in ((2,), (2, -1, 0), [2, -1, 0]):
+        with pytest.raises(RankMismatchError):
+            G.omega(bad)
+    H = make_period_group([5], [0])
+    assert H.omega((1,)) == 5
+    with pytest.raises(RankMismatchError):
+        H.omega((1, 0))
+    assert G.omega((0, 0)) == 0 and G.omega((0, 0)).d == 0

@@ -2,18 +2,21 @@
 
 These tie independent computation routes together: plain rational ranks
 against the homology dimensions, representative-choice independence of
-the mini-max, and solver minimality against the brute-force oracle.
+the mini-max, rho over the dense <1, sqrt 2> group and solver minimality
+against the brute-force oracle.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from _random_complexes import random_complex
 
-from floermini.action import NovikovScalar, make_period_group
+from floermini.action import ActionValue, NovikovScalar, make_period_group
 from floermini.complexes import NovikovChain
 from floermini.errors import ZeroClassError
 from floermini.spectral import bounded_boundary_solve, rho
@@ -63,6 +66,21 @@ def test_homology_dimensions_match_rational_ranks():
             assert dims.get(k, 0) == expect
             checked += 1
     assert checked > 100
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rho_matches_oracle_on_dense_complexes(seed):
+    """rho of every tracked representative over the dense <1, sqrt 2>
+    equals the brute-force oracle's certified minimum."""
+    G = make_period_group([ActionValue(1), ActionValue.sqrt(2)], [0, 0])
+    X, reps = random_complex(random.Random(seed), group=G, max_orbits=5)
+    for rep in reps:
+        try:
+            got = rho(X, rep).value
+        except ZeroClassError:
+            continue
+        assert got == _oracles.brute_force_rho(X, rep)
 
 
 def test_rho_independent_of_representative():
