@@ -216,6 +216,44 @@ class MorseCerfFamily:
             self._diagram = bifurcation_diagram(self)
         return self._diagram
 
+    # -- the Cerf-family contract (see `AbstractCerfFamily`) ---------------------
+
+    def chain_complex(self, i: int) -> FilteredComplex:
+        return self.complex_at(i).complex
+
+    def step(self, i: int, reverse=False) -> dict:
+        """The move across interval i, read off the diagram's tracks and cusps.
+
+        Walking an interval backwards swaps its ends, and a cusp's birth
+        becomes a death and vice versa.
+        """
+        d = self.diagram()
+        src, dst = (i + 1, i) if reverse else (i, i + 1)
+        lo_t, hi_t = d.tracks[src], d.tracks[dst]
+        cusps = [c for c in d.cusps if self.grid[i] < c.eta < self.grid[i + 1]]
+        if len(cusps) > 1:
+            raise EventError("refine the grid: two cusps in one interval")
+        st, dying = {"type": "pairing"}, ()
+        if cusps:
+            c = cusps[0]
+            plus_b, minus_b = c.branches if c.indices[0] == 1 else c.branches[::-1]
+            if (c.kind == "birth") != reverse:
+                st = {"type": "birth", "plus": hi_t[plus_b], "minus": hi_t[minus_b]}
+            else:
+                st = {"type": "death", "plus": lo_t[plus_b], "minus": lo_t[minus_b]}
+                dying = c.branches
+        st["table"] = {lo_t[b]: hi_t[b] for b in lo_t if b not in dying}
+        return st
+
+    def cusp_pairs(self, i: int) -> set:
+        d = self.diagram()
+        track = d.tracks[i]
+        return {(track[p], track[m]) for p, m in (c.branches for c in d.cusps)
+                if p in track and m in track}
+
+    def class_at(self, i: int, cls):
+        return self.complex_at(i).class_chain(cls)
+
     def _eta_derivative(self, thetas, eta: float):
         thetas = np.asarray(thetas, dtype=float)
         return np.zeros_like(thetas) + self._root.fp_eta(thetas, eta)
@@ -297,6 +335,20 @@ class AbstractCerfFamily:
        "eta": e, "value": v}                                pair creation/cancel
     Declared per-step variation bounds may accompany the steps as
     (e_minus, e_plus) pairs of rationals.
+
+    Both family classes give `continuation` the same contract, so it never
+    asks which kind it walks:
+      chain_complex(i)     the FilteredComplex at grid index i
+      step(i, reverse)     the move across interval i in the direction it is
+                           walked: a step dict of the schema above plus
+                           "table", source orbit id -> target orbit id of the
+                           paired survivors (a reversed step swaps birth and
+                           death and inverts a slide)
+      cusp_pairs(i)        the (plus, minus) orbit pairs of cusps at index i,
+                           whose connections the dichotomy constant excludes
+      class_at(i, cls)     what `rho` takes for a named class at index i
+    A declared step pairs equal orbit ids; a Morse family reads its steps off
+    the diagram's tracks and cusps.
     """
 
     is_morse = False
@@ -310,6 +362,8 @@ class AbstractCerfFamily:
         self.grid = np.asarray(
             grid if grid is not None else np.linspace(0.0, 1.0, max(n, 2))[:n]
         )
+        if len(self.grid) != n:
+            raise NonCerfError("need one grid point per complex")
         self.steps = list(steps or [{"type": "pairing"} for _ in range(n - 1)])
         if len(self.steps) != n - 1:
             raise NonCerfError("need one declared step per grid interval")
@@ -327,6 +381,22 @@ class AbstractCerfFamily:
 
     def complex_at(self, i: int) -> FilteredComplex:
         return self.complexes[i]
+
+    chain_complex = complex_at
+
+    def step(self, i: int, reverse=False) -> dict:
+        st = _reverse_step(self.steps[i]) if reverse else dict(self.steps[i])
+        dying = (st["plus"], st["minus"]) if st.get("type") == "death" else ()
+        X = self.complexes[i + 1 if reverse else i]
+        st["table"] = {o.id: o.id for o in X.orbits if o.id not in dying}
+        return st
+
+    def cusp_pairs(self, i: int) -> set:
+        return {(st["plus"], st["minus"]) for st in self.steps
+                if st.get("type") in ("birth", "death")}
+
+    def class_at(self, i: int, cls):
+        return cls
 
     def diagram(self) -> "CerfDiagram":
         if self._diagram is None:
@@ -847,8 +917,7 @@ def concat(fam1, fam2):
         steps = fam1.steps + fam2.steps
         bounds = fam1.bounds + fam2.bounds
         return AbstractCerfFamily(fam1.period_group, comps, steps, bounds)
-    if fam1.complex_at(len(fam1.grid) - 1).complex.dump() != \
-            fam2.complex_at(0).complex.dump():
+    if fam1.chain_complex(len(fam1.grid) - 1).dump() != fam2.chain_complex(0).dump():
         raise EventError("families do not share the junction complex")
     return ConcatFamily(fam1, fam2)
 

@@ -47,19 +47,27 @@ class RunConfig:
                 raise ConfigError(f"unknown task {t!r}; known: {KNOWN_TASKS}")
         self.tasks = list(tasks)
         self.group = self._group(raw.get("period_group"))
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _integer("seed", raw.get("seed", 0))
         grid = raw.get("grid", {})
         if not isinstance(grid, Mapping):
             raise ConfigError("field 'grid' must be an object")
-        self.theta_grid = int(grid.get("theta", DEFAULT_GRID))
+        self.theta_grid = _size("grid.theta", grid.get("theta", DEFAULT_GRID))
         self.eta_forced = eta_grid is not None
-        self.eta_grid = int(eta_grid if self.eta_forced else grid.get("eta", DEFAULT_ETA_GRID))
-        self.eps = Fraction(str(raw.get("eps", 1)))
+        self.eta_grid = _size("grid.eta", eta_grid if self.eta_forced
+                              else grid.get("eta", DEFAULT_ETA_GRID))
+        self.eps = _fraction("eps", raw.get("eps", 1))
         self.classes = raw.get("classes", "all")
+        if self.classes != "all" and not (
+            isinstance(self.classes, list) and self.classes
+            and all(isinstance(c, str) for c in self.classes)
+        ):
+            raise ConfigError("field 'classes' must be \"all\" or a non-empty list of names")
         self.out = raw.get("out")
-        self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update(raw.get("tolerances", {}))
-        self.ghost_translates = int(raw.get("ghost_translates", 0))
+        tolerances = raw.get("tolerances", {})
+        if not isinstance(tolerances, Mapping):
+            raise ConfigError("field 'tolerances' must be an object")
+        self.tolerances = {**DEFAULT_TOLERANCES, **tolerances}
+        self.ghost_translates = _integer("ghost_translates", raw.get("ghost_translates", 0))
 
         sources = [k for k in ("complex", "morse_function", "family") if k in raw]
         if len(sources) > 1:
@@ -93,24 +101,19 @@ class RunConfig:
             raise ConfigError(f"bad complex spec: {e}") from None
 
     def build_function(self) -> MorseFunction1D:
-        spec = self.raw.get("morse_function")
-        if spec is None:
-            raise ConfigError("task needs a 'morse_function' input")
-        return _function_from_json(spec, self.theta_grid)
+        return _function_from_json(_spec(self.raw, "morse_function"), self.theta_grid)
 
     def build_family(self):
-        spec = self.raw.get("family")
-        if spec is None:
-            raise ConfigError("task needs a 'family' input")
+        spec = _spec(self.raw, "family")
         kind = spec.get("kind", "closed_form")
         if kind == "closed_form":
             if "expr" not in spec:
                 raise ConfigError("closed_form family needs 'expr'")
-            eta_points = int(spec.get("eta_points", self.eta_grid))
+            eta_points = _size("eta_points", spec.get("eta_points", self.eta_grid))
             return MorseCerfFamily(
                 spec["expr"],
                 eta_points=self.eta_grid if self.eta_forced else eta_points,
-                theta_points=int(spec.get("theta_points", self.theta_grid)),
+                theta_points=_size("theta_points", spec.get("theta_points", self.theta_grid)),
             )
         if kind == "abstract":
             comps = [
@@ -129,16 +132,50 @@ class RunConfig:
 
 def _function_from_json(spec: Mapping, default_grid: int) -> MorseFunction1D:
     kind = spec.get("kind", "closed_form")
-    drift = Fraction(str(spec.get("drift", 0)))
+    drift = _fraction("drift", spec.get("drift", 0))
     if kind == "closed_form":
         if "expr" not in spec:
             raise ConfigError("closed_form function needs 'expr'")
         return MorseFunction1D.closed_form(
-            spec["expr"], N=int(spec.get("grid", default_grid)), drift=drift
+            spec["expr"], N=_size("grid", spec.get("grid", default_grid)), drift=drift
         )
     if kind == "samples":
         values = spec.get("values")
         if not values:
             raise ConfigError("samples function needs 'values'")
-        return MorseFunction1D.from_samples([float(v) for v in values], drift=drift)
+        try:
+            values = [float(v) for v in values]
+        except (TypeError, ValueError):
+            raise ConfigError("samples function needs numeric 'values'") from None
+        return MorseFunction1D.from_samples(values, drift=drift)
     raise ConfigError(f"unknown function kind {kind!r}")
+
+
+def _spec(raw: Mapping, field: str) -> Mapping:
+    spec = raw.get(field)
+    if spec is None:
+        raise ConfigError(f"task needs a {field!r} input")
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"field {field!r} must be an object")
+    return spec
+
+
+def _integer(field: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {field!r} must be an integer") from None
+
+
+def _size(field: str, value) -> int:
+    n = _integer(field, value)
+    if n < 1:
+        raise ConfigError(f"field {field!r} must be a positive integer")
+    return n
+
+
+def _fraction(field: str, value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {field!r} must be a number") from None

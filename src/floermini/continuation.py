@@ -6,14 +6,22 @@ cancels it by the inverse elementary operation, and a declared handle
 slide contributes a transvection.  Every constructed map is checked
 against the chain-map identity exactly, and its level shifts are bounded
 by the negative variation of the family.
+
+A family is read only through the contract of `cerf.AbstractCerfFamily`,
+which closed-form and declared families both give: `grid`,
+`chain_complex(i)`, `step(i, reverse)` (a declared-step dict with a
+"table" of paired orbit ids), `cusp_pairs(i)` and `class_at(i, cls)`.  So
+one `_step_map` builds every step, whether the walker found the event or
+the family declared it.  `ConcatFamily` is the one composite: `step_maps`
+and `dichotomy_constant` recurse into its parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .action import ActionValue, NovikovScalar
-from .cerf import AbstractCerfFamily, ConcatFamily, MorseCerfFamily, concat
+from .action import POS_INFINITY, ActionValue, NovikovScalar
+from .cerf import ConcatFamily, concat
 from .complexes import FilteredComplex, NovikovChain
 from .errors import ChainMapError, EventError, NotACycleError
 from .reduction import Decomposition, vec_axpy
@@ -184,166 +192,69 @@ class ChainHomotopy(_SparseMap):
 # ---------------------------------------------------------------------------
 
 
-def _pairing_map(X, Y, table) -> ChainMap:
-    """table: source orbit id -> target orbit id."""
-    one = NovikovScalar.one(X.group)
-    ent = {}
-    for s, t in table.items():
-        ent[(t, s)] = one
-    return ChainMap(X, Y, ent, {k: "pairing" for k in ent})
+def _step_map(X, Y, st) -> ChainMap:
+    """The verified chain map of one step (see `AbstractCerfFamily`).
 
-
-def _birth_map(X, Y, table, plus_id, minus_id) -> ChainMap:
-    """Inclusion into the complex where (plus, minus) was just born.
-
-    iota(x) = xbar - u^{-1} <d xbar, minus> plus, with u = <d plus, minus>
-    computed in the target; this is the unique level-respecting chain map
-    extending the pairing of survivors.
+    Every source orbit in the step's table goes to its paired orbit.  A
+    birth of (plus, minus) in Y corrects x -> xbar - u^{-1} <d xbar, minus>
+    plus, with u = <d plus, minus> in Y: the unique level-respecting chain
+    map extending the pairing.  A death of (plus, minus) in X cancels it:
+    plus -> 0 and minus -> -u^{-1} * (image of d plus - u*minus), with u
+    computed in X.  A slide adds the transvection c q^cap from slide_from
+    to slide_over, negated when inverted.
     """
-    u = Y.boundary.get(plus_id, {}).get(minus_id)
-    if u is None or u.is_zero():
-        raise ChainMapError("birth pair is not connected in the target complex")
-    ent = {}
-    prov = {}
+    kind, table = st.get("type", "pairing"), st["table"]
+    if kind not in ("pairing", "slide", "birth", "death"):
+        raise EventError(f"unknown declared step {kind!r}")
+    if kind in ("birth", "death"):
+        plus, minus = st["plus"], st["minus"]
+        u = (Y if kind == "birth" else X).boundary.get(plus, {}).get(minus)
+        if u is None or u.is_zero():
+            side = "target" if kind == "birth" else "source"
+            raise ChainMapError(f"{kind} pair is not connected in the {side} complex")
     one = NovikovScalar.one(X.group)
+    ent, prov = {}, {}
+
+    def add(key, c, tag):
+        ent[key] = ent[key] + c if key in ent else c
+        prov[key] = tag
+
     for s, t in table.items():
-        ent[(t, s)] = one
-        prov[(t, s)] = "pairing"
-        hit = Y.boundary.get(t, {}).get(minus_id)
-        if hit is not None and not hit.is_zero():
-            corr = -(hit / u)
-            key = (plus_id, s)
-            ent[key] = ent[key] + corr if key in ent else corr
-            prov[key] = "birth"
-    return ChainMap(X, Y, ent, prov)
-
-
-def _death_map(X, Y, table, plus_id, minus_id) -> ChainMap:
-    """Cancellation of the pair (plus, minus) living in the source.
-
-    phi(plus) = 0, phi(minus) = -u^{-1} * (image of d plus minus u*minus),
-    phi(x) = paired image otherwise.
-    """
-    u = X.boundary.get(plus_id, {}).get(minus_id)
-    if u is None or u.is_zero():
-        raise ChainMapError("death pair is not connected in the source complex")
-    ent = {}
-    prov = {}
-    one = NovikovScalar.one(X.group)
-    for s, t in table.items():
-        if s in (plus_id, minus_id):
-            continue
-        ent[(t, s)] = one
-        prov[(t, s)] = "pairing"
-    for tgt, c in X.boundary.get(plus_id, {}).items():
-        if tgt == minus_id:
-            continue
-        bar = table.get(tgt)
-        if bar is None:
-            raise ChainMapError("death remainder leaves the paired basis")
-        corr = -(c / u)
-        key = (bar, minus_id)
-        ent[key] = ent[key] + corr if key in ent else corr
-        prov[key] = "death"
-    return ChainMap(X, Y, ent, prov)
-
-
-def _slide_map(X, Y, frm, over, cap, coeff, invert=False) -> ChainMap:
-    u = NovikovScalar.monomial(X.group, tuple(cap), Fraction(coeff))
-    if invert:
-        u = -u
-    ent = {(o.id, o.id): NovikovScalar.one(X.group) for o in X.orbits}
-    prov = {k: "pairing" for k in ent}
-    key = (str(over), str(frm))
-    ent[key] = ent[key] + u if key in ent else u
-    prov[key] = "slide"
-    return ChainMap(X, Y, ent, prov)
+        add((t, s), one, "pairing")
+        if kind == "birth":
+            hit = Y.boundary.get(t, {}).get(minus)
+            if hit is not None and not hit.is_zero():
+                add((plus, s), -(hit / u), "birth")
+    if kind == "death":
+        for tgt, c in X.boundary.get(plus, {}).items():
+            if tgt == minus:
+                continue
+            if tgt not in table:
+                raise ChainMapError("death remainder leaves the paired basis")
+            add((table[tgt], minus), -(c / u), "death")
+    elif kind == "slide":
+        c = NovikovScalar.monomial(X.group, tuple(st.get("cap", X.group.zero_cap)),
+                                   Fraction(st.get("coeff", 1)))
+        add((str(st["slide_over"]), str(st["slide_from"])),
+            -c if st.get("invert", False) else c, "slide")
+    h = ChainMap(X, Y, ent, prov)
+    h.verify()
+    return h
 
 
 def step_maps(fam, reverse=False) -> list:
-    """Per-interval chain maps in traversal order, each verified."""
+    """Per-interval chain maps in traversal order, each verified; with
+    reverse set, the maps back along the grid from its top end."""
     if isinstance(fam, ConcatFamily):
         a = step_maps(fam.parts[0], reverse)
         b = step_maps(fam.parts[1], reverse)
         return b + a if reverse else a + b
-    if fam.is_morse:
-        return _morse_step_maps(fam, reverse)
-    return _abstract_step_maps(fam, reverse)
-
-
-def _morse_step_maps(fam: MorseCerfFamily, reverse=False) -> list:
-    """Step maps along the grid, or back along it when reverse is set.
-
-    Walking an interval backwards swaps its ends, and a cusp's birth
-    becomes a death and vice versa.
-    """
-    d = fam.diagram()
-    grid = fam.grid
-    order = range(len(grid) - 2, -1, -1) if reverse else range(len(grid) - 1)
+    n = len(fam.grid)
     maps = []
-    for i in order:
+    for i in range(n - 2, -1, -1) if reverse else range(n - 1):
+        st = fam.step(i, reverse)
         src, dst = (i + 1, i) if reverse else (i, i + 1)
-        X = fam.complex_at(src).complex
-        Y = fam.complex_at(dst).complex
-        lo_t, hi_t = d.tracks[src], d.tracks[dst]
-        cusps = [c for c in d.cusps if grid[i] < c.eta < grid[i + 1]]
-        if len(cusps) > 1:
-            raise EventError("refine the grid: two cusps in one interval")
-        if not cusps:
-            table = {lo_t[b]: hi_t[b] for b in lo_t}
-            h = _pairing_map(X, Y, table)
-        else:
-            c = cusps[0]
-            plus_b, minus_b = c.branches
-            if c.indices[0] != 1:
-                plus_b, minus_b = minus_b, plus_b
-            if (c.kind == "birth") != reverse:
-                table = {lo_t[b]: hi_t[b] for b in lo_t}
-                h = _birth_map(X, Y, table, hi_t[plus_b], hi_t[minus_b])
-            else:
-                table = {lo_t[b]: hi_t[b] for b in lo_t if b in hi_t}
-                h = _death_map(X, Y, table, lo_t[plus_b], lo_t[minus_b])
-        h.verify()
-        maps.append(h)
-    return maps
-
-
-def _abstract_step_maps(fam: AbstractCerfFamily, reverse=False) -> list:
-    n = len(fam.complexes)
-    order = range(n - 2, -1, -1) if reverse else range(n - 1)
-    maps = []
-    for i in order:
-        if reverse:
-            X, Y = fam.complexes[i + 1], fam.complexes[i]
-        else:
-            X, Y = fam.complexes[i], fam.complexes[i + 1]
-        st = dict(fam.steps[i])
-        if reverse:
-            from .cerf import _reverse_step
-
-            st = _reverse_step(st)
-        kind = st.get("type", "pairing")
-        if kind == "pairing":
-            table = {o.id: o.id for o in X.orbits}
-            h = _pairing_map(X, Y, table)
-        elif kind == "slide":
-            h = _slide_map(
-                X, Y, st["slide_from"], st["slide_over"],
-                st.get("cap", X.group.zero_cap), st.get("coeff", 1),
-                invert=st.get("invert", False),
-            )
-        elif kind == "birth":
-            table = {o.id: o.id for o in X.orbits}
-            h = _birth_map(X, Y, table, st["plus"], st["minus"])
-        elif kind == "death":
-            table = {
-                o.id: o.id for o in X.orbits if o.id not in (st["plus"], st["minus"])
-            }
-            h = _death_map(X, Y, table, st["plus"], st["minus"])
-        else:
-            raise EventError(f"unknown declared step {kind!r}")
-        h.verify()
-        maps.append(h)
+        maps.append(_step_map(fam.chain_complex(src), fam.chain_complex(dst), st))
     return maps
 
 
@@ -448,8 +359,6 @@ class EntryClassification:
 
 
 def _min_drop(X, excluded) -> ActionValue:
-    from .action import POS_INFINITY
-
     best = POS_INFINITY
     for src, row in X.boundary.items():
         for tgt, scalar in row.items():
@@ -469,32 +378,12 @@ def dichotomy_constant(fam) -> ActionValue:
     measures the energy floor of all the other trajectories.  Sub-runs
     reuse the parent constant, so restriction never shrinks it.
     """
-    from .action import POS_INFINITY
-
-    best = POS_INFINITY
     if isinstance(fam, ConcatFamily):
         return min(dichotomy_constant(fam.parts[0]), dichotomy_constant(fam.parts[1]))
-    if fam.is_morse:
-        d = fam.diagram()
-        for i in range(len(fam.grid)):
-            track = d.tracks[i]
-            excluded = set()
-            for c in d.cusps:
-                bp, bm = c.branches
-                if bp in track and bm in track:
-                    excluded.add((track[bp], track[bm]))
-            g = _min_drop(fam.complex_at(i).complex, excluded)
-            if g < best:
-                best = g
-    else:
-        for i, X in enumerate(fam.complexes):
-            excluded = set()
-            for st in fam.steps:
-                if st.get("type") in ("birth", "death"):
-                    excluded.add((st["plus"], st["minus"]))
-            g = _min_drop(X, excluded)
-            if g < best:
-                best = g
+    best = POS_INFINITY
+    for i in range(len(fam.grid)):
+        excluded = fam.cusp_pairs(i)
+        best = min(best, _min_drop(fam.chain_complex(i), excluded))
     return best
 
 
@@ -570,14 +459,8 @@ class MuCurve:
 
 def transfer_level_curve(alpha0: NovikovChain, fam, start_index: int) -> MuCurve:
     """mu(eta) = level of the transferred cycle, sampled on the grid."""
-    if fam.is_morse:
-        X0 = fam.complex_at(start_index).complex
-        n = len(fam.grid)
-        etas = [float(e) for e in fam.grid]
-    else:
-        X0 = fam.complexes[start_index]
-        n = len(fam.complexes)
-        etas = [float(e) for e in fam.grid]
+    X0 = fam.chain_complex(start_index)
+    n = len(fam.grid)
     if not X0.is_cycle(alpha0):
         raise NotACycleError("transfer needs a cycle at the start parameter")
     fwd = step_maps(fam)
@@ -596,9 +479,10 @@ def transfer_level_curve(alpha0: NovikovChain, fam, start_index: int) -> MuCurve
         cur = bwd[n - 2 - i].apply(cur)
         chains[i] = cur
     for i, ch in enumerate(chains):
-        X = fam.complex_at(i).complex if fam.is_morse else fam.complexes[i]
+        X = fam.chain_complex(i)
         values[i] = X.level(ch)
         peaks[i] = X.peaks(ch) if ch else []
+    etas = [float(e) for e in fam.grid]
     return MuCurve(etas, values, peaks, variation_bounds(fam), start_index)
 
 
@@ -642,12 +526,8 @@ def tightness_transfer_check(fam, cls, start_index: int) -> TightnessReport:
     tried and the report records which transfer realizes the mini-max on
     each side of the start parameter.
     """
-    n = len(fam.grid) if fam.is_morse else len(fam.complexes)
-
-    def complex_at(i):
-        return fam.complex_at(i).complex if fam.is_morse else fam.complexes[i]
-
-    X0 = complex_at(start_index)
+    n = len(fam.grid)
+    X0 = fam.chain_complex(start_index)
     _, candidates = _tight_cycles_at(X0, cls)
     failures = []
     # each direction's maps are built and verified once, for every candidate
@@ -662,7 +542,7 @@ def tightness_transfer_check(fam, cls, start_index: int) -> TightnessReport:
         for k, i in enumerate(indices):
             if k:
                 cur = maps[k - 1].apply(cur)
-            X = complex_at(i)
+            X = fam.chain_complex(i)
             if X.level(cur) != rho(X, cur).value:
                 return False
         return True
@@ -681,15 +561,5 @@ def tightness_transfer_check(fam, cls, start_index: int) -> TightnessReport:
 
 def rho_curve(fam, cls_name: str) -> list:
     """Exact mini-max values of a named class at every grid parameter."""
-    out = []
-    n = len(fam.grid) if fam.is_morse else len(fam.complexes)
-    for i in range(n):
-        if fam.is_morse:
-            rep = fam.complex_at(i)
-            chain = rep.class_chain(cls_name)
-            res = rho(rep.complex, chain)
-        else:
-            X = fam.complexes[i]
-            res = rho(X, cls_name)
-        out.append((float(fam.grid[i]), res))
-    return out
+    return [(float(fam.grid[i]), rho(fam.chain_complex(i), fam.class_at(i, cls_name)))
+            for i in range(len(fam.grid))]

@@ -373,37 +373,37 @@ def _tolerances(N):
     }
 
 
-def build_s1_morse(f: MorseFunction1D, eps=1) -> MorseComplexReport:
-    """Morse complex of -eps*f on the circle over the trivial period group.
-
-    Generators are the critical points; level(p) = -eps*f(p); an index-1
+def _circle_complex(f: MorseFunction1D, crit, eps, group) -> MorseComplexReport:
+    """Generators are the critical points at level -eps*f(p); an index-1
     generator sends +1 to its counterclockwise index-0 neighbor and -1 to
-    the clockwise one.
-    """
+    the clockwise one.  On a rank-1 group a step that wraps past the domain
+    end (wrap = +-1) carries the deck cap (-wrap,): its level shifts by
+    +-omega."""
+    orbits = [Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index)
+              for i, p in enumerate(crit)]
+    k = len(crit)
+    boundary: dict = {}
+    for i, p in enumerate(crit):
+        if p.index != 1:
+            continue
+        row: dict = {}
+        for j, wrap, coeff in ((i + 1, i + 1 == k, 1), (i - 1, -(i == 0), -1)):
+            cap = (-int(wrap),) if group.rank else ()
+            tgt, s = f"c{j % k}", NovikovScalar.monomial(group, cap, coeff)
+            row[tgt] = row[tgt] + s if tgt in row else s
+        boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
+    X = FilteredComplex(group, orbits, boundary)
+    return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
+
+
+def build_s1_morse(f: MorseFunction1D, eps=1) -> MorseComplexReport:
+    """Morse complex of -eps*f on the circle over the trivial period group."""
     eps = Fraction(eps)
     if eps <= 0:
         raise MorseError("eps must be positive")
     if f.drift != 0:
         raise MorseError("drift requires build_circle_valued")
-    crit = f.critical_points()
-    group = make_period_group([], [])
-    orbits = []
-    for i, p in enumerate(crit):
-        orbits.append(Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index))
-    boundary: dict = {}
-    k = len(crit)
-    for i, p in enumerate(crit):
-        if p.index != 1:
-            continue
-        nxt = f"c{(i + 1) % k}"
-        prv = f"c{(i - 1) % k}"
-        row: dict = {}
-        one = NovikovScalar.one(group)
-        row[nxt] = one
-        row[prv] = row[prv] - one if prv in row else -one
-        boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
-    X = FilteredComplex(group, orbits, boundary)
-    return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
+    return _circle_complex(f, f.critical_points(), eps, make_period_group([], []))
 
 
 def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
@@ -423,24 +423,8 @@ def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
     except MorseError as e:
         if "no critical points" not in str(e):
             raise
-        X = FilteredComplex(group, [], {})
-        return MorseComplexReport(X, [], eps, group, _tolerances(f.N))
-    orbits = []
-    for i, p in enumerate(crit):
-        orbits.append(Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index))
-    k = len(crit)
-    boundary: dict = {}
-    for i, p in enumerate(crit):
-        if p.index != 1:
-            continue
-        row: dict = {}
-        # wrapping past the domain end (wrap = +-1) shifts the level by +-eps*drift
-        for j, wrap, coeff in ((i + 1, i + 1 == k, 1), (i - 1, -(i == 0), -1)):
-            tgt, s = f"c{j % k}", NovikovScalar.monomial(group, (-int(wrap),), coeff)
-            row[tgt] = row[tgt] + s if tgt in row else s
-        boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
-    X = FilteredComplex(group, orbits, boundary)
-    return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
+        crit = []
+    return _circle_complex(f, crit, eps, group)
 
 
 class Pairing:

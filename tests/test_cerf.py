@@ -165,6 +165,15 @@ class TestSubFamily:
             sub_family(fam, -0.1, 0.5)
 
 
+def test_abstract_family_needs_one_grid_point_per_complex():
+    G = make_period_group([], [])
+    X = FilteredComplex(G, [Orbit("x", 0, 0)], {})
+    assert len(AbstractCerfFamily(G, [X, X], grid=[0.0, 1.0]).grid) == 2
+    for grid in ([0.0, 0.5, 1.0], [0.5]):
+        with pytest.raises(NonCerfError):
+            AbstractCerfFamily(G, [X, X], grid=grid)
+
+
 class TestGammaTranslate:
     def _abstract(self):
         G = make_period_group([ActionValue(1)], [0])

@@ -10,6 +10,14 @@ from floermini.cli import main, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
+COS = {"kind": "closed_form", "expr": "cos(theta)", "grid": 256}
+FUNCTION_CFG = {"tasks": ["rho"], "morse_function": COS}
+FAMILY_CFG = {
+    "tasks": ["rho_curve"],
+    "family": {"kind": "closed_form", "expr": "cos(theta)", "eta_points": 3,
+               "theta_points": 256},
+}
+
 
 def read_all(d: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.is_file()}
@@ -56,6 +64,52 @@ class TestRun:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "missing-file"
+
+    @pytest.mark.parametrize("config", [FUNCTION_CFG, FAMILY_CFG])
+    def test_malformed_value_bases_run(self, tmp_path, config):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        assert run(p, tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("config,flags,field", [
+        pytest.param(dict(FUNCTION_CFG, seed="abc"), [], "seed", id="seed"),
+        pytest.param(dict(FUNCTION_CFG, grid={"theta": "x"}), [], "grid.theta", id="grid-theta"),
+        pytest.param(dict(FUNCTION_CFG, eps="abc"), [], "eps", id="eps"),
+        pytest.param(dict(FUNCTION_CFG, ghost_translates="x"), [], "ghost_translates",
+                     id="ghost-translates"),
+        pytest.param(dict(FUNCTION_CFG, morse_function=dict(COS, drift="x")), [], "drift",
+                     id="drift"),
+        pytest.param(dict(FUNCTION_CFG, tolerances=[1]), [], "tolerances", id="tolerances"),
+        pytest.param(dict(FUNCTION_CFG, classes=5), [], "classes", id="classes-number"),
+        pytest.param(dict(FUNCTION_CFG, classes="h0_0"), [], "classes", id="classes-string"),
+        pytest.param(dict(FAMILY_CFG, classes=[]), [], "classes", id="classes-empty"),
+        pytest.param(dict(FAMILY_CFG, family=[]), [], "family", id="family-list"),
+        pytest.param(dict(FUNCTION_CFG, morse_function="cos(theta)"), [], "morse_function",
+                     id="function-string"),
+        pytest.param(dict(FUNCTION_CFG, morse_function={"kind": "samples", "values": ["a", "b"]}),
+                     [], "values", id="sample-values"),
+        pytest.param(dict(FUNCTION_CFG, morse_function=dict(COS, grid=0)), [], "grid",
+                     id="function-grid"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], eta_points=0)), [],
+                     "eta_points", id="eta-points-zero"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], eta_points=-3)), [],
+                     "eta_points", id="eta-points-negative"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], theta_points=0)), [],
+                     "theta_points", id="theta-points"),
+        pytest.param(FAMILY_CFG, ["--grid", "0"], "grid.eta", id="grid-flag"),
+    ])
+    def test_malformed_values_end_in_a_structured_error(self, tmp_path, capsys, config, flags,
+                                                        field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")] + flags) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}
+        assert f"{field!r}" in err["message"]
 
     def test_hofer_task(self, tmp_path):
         code = run(GOLDEN / "hofer_cos.json", tmp_path)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from floermini.action import ActionValue, NovikovScalar, make_period_group
+from floermini.action import POS_INFINITY, ActionValue, NovikovScalar, make_period_group
 from floermini.cerf import AbstractCerfFamily, MorseCerfFamily, concat, sub_family
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
 from floermini.continuation import (
@@ -144,6 +144,59 @@ class TestContinuationMap:
             if out.is_zero():
                 continue
             assert h.target.level(out) <= h.source.level(chain) + e_minus
+
+
+def declared_birth_death_family(G):
+    """[a] -> [a, p, m] with dp = m -> [a]: a declared birth, then a death."""
+    A = FilteredComplex(G, [Orbit("a", 0, 0)], {})
+    B = FilteredComplex(
+        G, [Orbit("a", 0, 0), Orbit("p", 2, 1), Orbit("m", 1, 0)],
+        {"p": {"m": NovikovScalar.one(G)}},
+    )
+    steps = [{"type": "birth", "plus": "p", "minus": "m", "eta": 0.25},
+             {"type": "death", "plus": "p", "minus": "m", "eta": 0.75}]
+    return AbstractCerfFamily(G, [A, B, A], steps)
+
+
+class TestDeclaredBirthDeath:
+    def test_steps_read_through_the_family(self, trivial_group):
+        fam = declared_birth_death_family(trivial_group)
+        assert fam.step(0) == {"type": "birth", "plus": "p", "minus": "m", "eta": 0.25,
+                               "table": {"a": "a"}}
+        assert fam.step(1) == {"type": "death", "plus": "p", "minus": "m", "eta": 0.75,
+                               "table": {"a": "a"}}
+        assert fam.step(1, reverse=True)["type"] == "birth"
+        assert fam.step(0, reverse=True) == {"type": "death", "plus": "p", "minus": "m",
+                                             "eta": 0.25, "table": {"a": "a"}}
+        assert fam.cusp_pairs(1) == {("p", "m")}
+
+    def test_maps_verify_and_compose_to_the_identity(self, trivial_group):
+        G = trivial_group
+        fam = declared_birth_death_family(G)
+        for reverse in (False, True):
+            maps = step_maps(fam, reverse)
+            assert len(maps) == 2
+            for h in maps:
+                h.verify()
+        h = continuation_map(fam)
+        a = NovikovChain.unit(G, "a")
+        assert h.entries == {("a", "a"): NovikovScalar.one(G)}
+        assert h.apply(a) == a
+        # the only connection, p -> m, is the cusp pair's: nothing is left
+        assert dichotomy_constant(fam) == POS_INFINITY
+
+    @pytest.mark.parametrize("expr", [
+        None, BD_FAMILY, "cos(theta) + sin(3*eta)*(3/5)*cos(2*theta + 1/2)",
+    ])
+    def test_reverse_maps_are_those_of_the_reversed_family(self, trivial_group, expr):
+        if expr is None:
+            fam = declared_birth_death_family(trivial_group)
+        else:
+            fam = MorseCerfFamily(expr, eta_points=65, theta_points=4096)
+            assert fam.diagram().cusps
+        back = step_maps(sub_family(fam, 1.0, 0.0))
+        assert [h.to_json() for h in step_maps(fam, reverse=True)] == \
+            [h.to_json() for h in back]
 
 
 class TestGlue:
