@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .action import PeriodGroup
+from .action import PeriodGroup, make_period_group
 from .complexes import FilteredComplex
 from .errors import EventError, MorseError, NonCerfError, PairingError
 from .morse import (
@@ -144,8 +144,6 @@ class MorseCerfFamily:
     the slot s maps to root parameter a + s*(b - a); b < a is the time
     reversal, so one affine covers both orientations.
     """
-
-    is_morse = True
 
     def __init__(self, expr, eta_points=DEFAULT_ETA_GRID, theta_points=DEFAULT_GRID,
                  affine=(0.0, 1.0), _root=None):
@@ -319,8 +317,6 @@ class MorseCerfFamily:
         return out
 
     def group(self) -> PeriodGroup:
-        from .action import make_period_group
-
         return make_period_group([], [])
 
 
@@ -329,6 +325,8 @@ class AbstractCerfFamily:
 
     steps[i] describes the move from grid point i to i+1:
       {"type": "pairing"}                                   identity pairing
+      {"type": "crossing", "a": id, "b": id,
+       "eta": e, "value": v}                                pairing; a, b swap levels
       {"type": "slide", "slide_from": x, "slide_over": y,
        "cap": [...], "coeff": "c", "eta": e, "value": v}    transvection
       {"type": "birth"/"death", "plus": id, "minus": id,
@@ -336,8 +334,9 @@ class AbstractCerfFamily:
     Declared per-step variation bounds may accompany the steps as
     (e_minus, e_plus) pairs of rationals.
 
-    Both family classes give `continuation` the same contract, so it never
-    asks which kind it walks:
+    Every family class, `ConcatFamily` included, gives `continuation` the
+    same contract, so it never asks which kind it walks:
+      grid                 the parameter grid, one point per index
       chain_complex(i)     the FilteredComplex at grid index i
       step(i, reverse)     the move across interval i in the direction it is
                            walked: a step dict of the schema above plus
@@ -347,11 +346,15 @@ class AbstractCerfFamily:
       cusp_pairs(i)        the (plus, minus) orbit pairs of cusps at index i,
                            whose connections the dichotomy constant excludes
       class_at(i, cls)     what `rho` takes for a named class at index i
+      variation_contributions()  per-interval (negative, positive) parts
+      group()              the period group
     A declared step pairs equal orbit ids; a Morse family reads its steps off
     the diagram's tracks and cusps.
     """
 
-    is_morse = False
+    _STEP_KEYS = {"pairing": (), "crossing": ("a", "b", "eta"),
+                  "slide": ("slide_from", "slide_over"),
+                  "birth": ("plus", "minus"), "death": ("plus", "minus")}
 
     def __init__(self, group, complexes, steps=None, bounds=None, grid=None):
         self.period_group = group
@@ -368,10 +371,12 @@ class AbstractCerfFamily:
         if len(self.steps) != n - 1:
             raise NonCerfError("need one declared step per grid interval")
         for st in self.steps:
-            eta = st.get("eta")
-            if st.get("type") in ("birth", "death", "slide") and eta is not None:
-                if not (0.0 < float(eta) < 1.0):
-                    raise NonCerfError("declared events must lie strictly inside (0,1)")
+            kind, eta = st.get("type", "pairing"), st.get("eta")
+            keys = self._STEP_KEYS.get(kind)
+            if keys is None or not set(keys) <= st.keys():
+                raise NonCerfError(f"declared step {st!r}: types and keys are {self._STEP_KEYS}")
+            if kind != "pairing" and eta is not None and not 0.0 < float(eta) < 1.0:
+                raise NonCerfError("declared events must lie strictly inside (0,1)")
         self.bounds = [
             (Fraction(a), Fraction(b)) for a, b in (bounds or [(0, 0)] * (n - 1))
         ]
@@ -379,10 +384,8 @@ class AbstractCerfFamily:
             raise NonCerfError("need one bounds pair per grid interval")
         self._diagram = None
 
-    def complex_at(self, i: int) -> FilteredComplex:
+    def chain_complex(self, i: int) -> FilteredComplex:
         return self.complexes[i]
-
-    chain_complex = complex_at
 
     def step(self, i: int, reverse=False) -> dict:
         st = _reverse_step(self.steps[i]) if reverse else dict(self.steps[i])
@@ -487,7 +490,7 @@ class CerfDiagram:
 
 
 def bifurcation_diagram(fam) -> CerfDiagram:
-    if fam.is_morse:
+    if isinstance(fam, MorseCerfFamily):
         return _morse_diagram(fam)
     return _abstract_diagram(fam)
 
@@ -719,8 +722,10 @@ def _abstract_diagram(fam: AbstractCerfFamily) -> CerfDiagram:
     branches = []
     cusps = []
     crossings = []
+    tracks = []
     for i, X in enumerate(fam.complexes):
         eta = float(fam.grid[i])
+        tracks.append({f"b_{o.id}": o.id for o in X.orbits})
         for o in X.orbits:
             b = branches_by_orbit.get(o.id)
             if b is None:
@@ -748,9 +753,6 @@ def _abstract_diagram(fam: AbstractCerfFamily) -> CerfDiagram:
                     f"b_{st['b']}",
                 )
             )
-    tracks = []
-    for X in fam.complexes:
-        tracks.append({f"b_{o.id}": o.id for o in X.orbits})
     metadata = {
         "eta_points": len(fam.grid),
         "declared": True,
@@ -822,11 +824,16 @@ def branch_slope(d: CerfDiagram, branch_id, eta: float, side_hint=False) -> floa
         if abs(e - eta) <= 2 * ETA_TOLERANCE and not side_hint:
             raise EventError(f"eta={eta} is at a {kind} event")
     fam = d.family
-    if fam is None or not fam.is_morse:
-        # sampled fallback: centered difference of the recorded track
-        i = min(range(len(b.etas)), key=lambda j: abs(b.etas[j] - eta))
-        i = max(1, min(len(b.etas) - 2, i))
-        return (b.values[i + 1] - b.values[i - 1]) / (b.etas[i + 1] - b.etas[i - 1])
+    if not isinstance(fam, MorseCerfFamily):
+        # sampled fallback: centered difference of the recorded track, or
+        # the secant of a two-sample track
+        n = len(b.etas)
+        if n < 2:
+            raise EventError(f"branch {branch_id} has one sample: no slope")
+        i = min(range(n), key=lambda j: abs(b.etas[j] - eta))
+        i = max(1, min(n - 2, i))
+        lo, hi = i - 1, min(i + 1, n - 1)
+        return (b.values[hi] - b.values[lo]) / (b.etas[hi] - b.etas[lo])
     theta0 = b.theta_near(eta)
     theta, _ = _refine_theta(fam, eta, theta0, TWO_PI / 64)
     return -float(fam.eta_derivative_at(eta, theta))
@@ -838,7 +845,7 @@ def sub_family(fam, eta1: float, eta2: float):
     eta1 > eta2 yields the time-reversed run; variation bounds computed
     from canonical ascending samples swap their signed parts exactly.
     """
-    if fam.is_morse:
+    if isinstance(fam, MorseCerfFamily):
         for e in (eta1, eta2):
             if not (0.0 <= e <= 1.0):
                 raise EventError(f"sub-family parameter {e} outside [0, 1]")
@@ -886,20 +893,41 @@ def _reverse_step(st):
 
 
 class ConcatFamily:
-    """Concatenation wrapper: runs fam1 on [0, 1/2], fam2 on [1/2, 1].
-
-    Variation contributions are the two lists joined, which is exactly
-    the additivity of the variation under concatenation.
+    """fam1 on [0, 1/2], then fam2 on [1/2, 1]: indices up to the junction
+    (fam1's last) read fam1, later ones fam2.  The junction excludes the cusp
+    pairs both parts exclude, so the dichotomy constant is the parts' minimum.
     """
 
     def __init__(self, fam1, fam2):
         self.parts = (fam1, fam2)
-        self.is_morse = fam1.is_morse
+        self._junction = len(fam1.grid) - 1
+        self.grid = np.concatenate([0.5 * fam1.grid, 0.5 + 0.5 * fam2.grid[1:]])
+
+    def _at(self, i: int):
+        j = i - self._junction
+        return (self.parts[0], i) if j <= 0 else (self.parts[1], j)
+
+    def chain_complex(self, i: int) -> FilteredComplex:
+        fam, j = self._at(i)
+        return fam.chain_complex(j)
+
+    def step(self, i: int, reverse=False) -> dict:
+        fam, j = self._at(i + 1)  # interval i ends inside one part
+        return fam.step(j - 1, reverse)
+
+    def cusp_pairs(self, i: int) -> set:
+        if i == self._junction:
+            return self.parts[0].cusp_pairs(i) & self.parts[1].cusp_pairs(0)
+        fam, j = self._at(i)
+        return fam.cusp_pairs(j)
+
+    def class_at(self, i: int, cls):
+        fam, j = self._at(i)
+        return fam.class_at(j, cls)
 
     def variation_contributions(self):
-        a = self.parts[0].variation_contributions()
-        b = self.parts[1].variation_contributions()
-        return list(a) + list(b)
+        """The parts' lists joined: the variation is additive under concatenation."""
+        return [c for fam in self.parts for c in fam.variation_contributions()]
 
     def group(self):
         return self.parts[0].group()
@@ -907,16 +935,6 @@ class ConcatFamily:
 
 def concat(fam1, fam2):
     """Concatenation; endpoint complexes must agree at the junction."""
-    if fam1.is_morse != fam2.is_morse:
-        raise EventError("cannot concatenate a Morse with an abstract family")
-    if not fam1.is_morse:
-        if fam1.complexes[-1] is not fam2.complexes[0] and \
-                fam1.complexes[-1].dump() != fam2.complexes[0].dump():
-            raise EventError("families do not share the junction complex")
-        comps = fam1.complexes + fam2.complexes[1:]
-        steps = fam1.steps + fam2.steps
-        bounds = fam1.bounds + fam2.bounds
-        return AbstractCerfFamily(fam1.period_group, comps, steps, bounds)
     if fam1.chain_complex(len(fam1.grid) - 1).dump() != fam2.chain_complex(0).dump():
         raise EventError("families do not share the junction complex")
     return ConcatFamily(fam1, fam2)

@@ -60,7 +60,6 @@ class Runner:
         self.out = out_dir
         self.report: dict = {}
         self.exit_code = 0
-        self._diagram = None
         self._family = None
 
     # -- shared inputs -------------------------------------------------------
@@ -77,9 +76,7 @@ class Runner:
         return self.cfg.eta_grid
 
     def diagram(self):
-        if self._diagram is None:
-            self._diagram = self.family().diagram()
-        return self._diagram
+        return self.family().diagram()  # cached by the family
 
     def source_complex(self):
         kind = self.cfg.source_kind
@@ -316,8 +313,8 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
         _error("validation", str(e))
         runner.report["validation_error"] = str(e)
         runner.exit_code = 2
-    except FloerminiError as e:
-        _error("engine", str(e))
+    except FloerminiError as e:  # a ConfigError here comes from a task's input
+        _error("schema" if isinstance(e, ConfigError) else "engine", str(e))
         return 1
 
     report = {

@@ -93,12 +93,15 @@ class RunConfig:
         spec = self.raw.get("complex")
         if spec is None:
             raise ConfigError("task needs a 'complex' input")
+        return self._complexes("complex", [spec])[0]
+
+    def _complexes(self, field: str, specs) -> list:
         try:
-            return FilteredComplex.from_json(self.group, spec)
+            return [FilteredComplex.from_json(self.group, spec) for spec in specs]
         except ConfigError:
             raise
         except Exception as e:
-            raise ConfigError(f"bad complex spec: {e}") from None
+            raise ConfigError(f"bad {field!r} spec: {e}") from None
 
     def build_function(self) -> MorseFunction1D:
         return _function_from_json(_spec(self.raw, "morse_function"), self.theta_grid)
@@ -116,16 +119,17 @@ class RunConfig:
                 theta_points=_size("theta_points", spec.get("theta_points", self.theta_grid)),
             )
         if kind == "abstract":
-            comps = [
-                FilteredComplex.from_json(self.group, c)
-                for c in spec.get("complexes", [])
-            ]
+            steps, bounds = spec.get("steps", []), spec.get("bounds", [])
+            if not isinstance(steps, list) or not all(isinstance(st, Mapping) for st in steps):
+                raise ConfigError("field 'steps' must be a list of objects")
+            if not isinstance(bounds, list) or not all(
+                    isinstance(b, list) and len(b) == 2 for b in bounds):
+                raise ConfigError("field 'bounds' must be a list of [e_minus, e_plus] pairs")
             return AbstractCerfFamily(
                 self.group,
-                comps,
-                spec.get("steps"),
-                [(Fraction(str(a)), Fraction(str(b)))
-                 for a, b in spec.get("bounds", [])] or None,
+                self._complexes("complexes", spec.get("complexes", [])),
+                steps,
+                [(_fraction("bounds", a), _fraction("bounds", b)) for a, b in bounds] or None,
             )
         raise ConfigError(f"unknown family kind {kind!r}")
 

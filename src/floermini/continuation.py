@@ -8,12 +8,11 @@ against the chain-map identity exactly, and its level shifts are bounded
 by the negative variation of the family.
 
 A family is read only through the contract of `cerf.AbstractCerfFamily`,
-which closed-form and declared families both give: `grid`,
+which closed-form, declared and concatenated families all give: `grid`,
 `chain_complex(i)`, `step(i, reverse)` (a declared-step dict with a
 "table" of paired orbit ids), `cusp_pairs(i)` and `class_at(i, cls)`.  So
 one `_step_map` builds every step, whether the walker found the event or
-the family declared it.  `ConcatFamily` is the one composite: `step_maps`
-and `dichotomy_constant` recurse into its parts.
+the family declared it, and a concatenation is walked like any family.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .action import POS_INFINITY, ActionValue, NovikovScalar
-from .cerf import ConcatFamily, concat
+from .cerf import concat
 from .complexes import FilteredComplex, NovikovChain
 from .errors import ChainMapError, EventError, NotACycleError
 from .reduction import Decomposition, vec_axpy
@@ -63,10 +62,6 @@ class VariationBounds:
     @property
     def e_total(self) -> ActionValue:
         return self.e_minus + self.e_plus
-
-    def window(self, i: int, j: int) -> "VariationBounds":
-        """Bounds of the sub-run between grid indices i <= j."""
-        return VariationBounds(self.contributions[i:j])
 
     def __repr__(self):
         return (
@@ -201,11 +196,9 @@ def _step_map(X, Y, st) -> ChainMap:
     map extending the pairing.  A death of (plus, minus) in X cancels it:
     plus -> 0 and minus -> -u^{-1} * (image of d plus - u*minus), with u
     computed in X.  A slide adds the transvection c q^cap from slide_from
-    to slide_over, negated when inverted.
+    to slide_over, negated when inverted.  A crossing is a pairing.
     """
     kind, table = st.get("type", "pairing"), st["table"]
-    if kind not in ("pairing", "slide", "birth", "death"):
-        raise EventError(f"unknown declared step {kind!r}")
     if kind in ("birth", "death"):
         plus, minus = st["plus"], st["minus"]
         u = (Y if kind == "birth" else X).boundary.get(plus, {}).get(minus)
@@ -245,10 +238,6 @@ def _step_map(X, Y, st) -> ChainMap:
 def step_maps(fam, reverse=False) -> list:
     """Per-interval chain maps in traversal order, each verified; with
     reverse set, the maps back along the grid from its top end."""
-    if isinstance(fam, ConcatFamily):
-        a = step_maps(fam.parts[0], reverse)
-        b = step_maps(fam.parts[1], reverse)
-        return b + a if reverse else a + b
     n = len(fam.grid)
     maps = []
     for i in range(n - 2, -1, -1) if reverse else range(n - 1):
@@ -378,8 +367,6 @@ def dichotomy_constant(fam) -> ActionValue:
     measures the energy floor of all the other trajectories.  Sub-runs
     reuse the parent constant, so restriction never shrinks it.
     """
-    if isinstance(fam, ConcatFamily):
-        return min(dichotomy_constant(fam.parts[0]), dichotomy_constant(fam.parts[1]))
     best = POS_INFINITY
     for i in range(len(fam.grid)):
         excluded = fam.cusp_pairs(i)
@@ -457,31 +444,30 @@ class MuCurve:
         return True, None
 
 
+def _transport(fam, alpha, start: int, fwd, bwd) -> list:
+    """alpha at index `start` carried to every grid index: up by `fwd`,
+    down by `bwd`, both as `step_maps` orders them."""
+    n = len(fam.grid)
+    chains = [None] * n
+    chains[start] = alpha
+    for i in range(start, n - 1):
+        chains[i + 1] = fwd[i].apply(chains[i])
+    for i in range(start - 1, -1, -1):
+        # bwd is ordered from the top interval downward
+        chains[i] = bwd[n - 2 - i].apply(chains[i + 1])
+    return chains
+
+
 def transfer_level_curve(alpha0: NovikovChain, fam, start_index: int) -> MuCurve:
     """mu(eta) = level of the transferred cycle, sampled on the grid."""
-    X0 = fam.chain_complex(start_index)
-    n = len(fam.grid)
-    if not X0.is_cycle(alpha0):
+    if not fam.chain_complex(start_index).is_cycle(alpha0):
         raise NotACycleError("transfer needs a cycle at the start parameter")
-    fwd = step_maps(fam)
-    bwd = step_maps(fam, reverse=True)
-    values = [None] * n
-    peaks = [None] * n
-    chains = [None] * n
-    chains[start_index] = alpha0
-    cur = alpha0
-    for i in range(start_index, n - 1):
-        cur = fwd[i].apply(cur)
-        chains[i + 1] = cur
-    cur = alpha0
-    for i in range(start_index - 1, -1, -1):
-        # bwd is ordered from the top interval downward
-        cur = bwd[n - 2 - i].apply(cur)
-        chains[i] = cur
+    chains = _transport(fam, alpha0, start_index, step_maps(fam), step_maps(fam, reverse=True))
+    values, peaks = [], []
     for i, ch in enumerate(chains):
         X = fam.chain_complex(i)
-        values[i] = X.level(ch)
-        peaks[i] = X.peaks(ch) if ch else []
+        values.append(X.level(ch))
+        peaks.append(X.peaks(ch) if ch else [])
     etas = [float(e) for e in fam.grid]
     return MuCurve(etas, values, peaks, variation_bounds(fam), start_index)
 
@@ -527,28 +513,22 @@ def tightness_transfer_check(fam, cls, start_index: int) -> TightnessReport:
     each side of the start parameter.
     """
     n = len(fam.grid)
-    X0 = fam.chain_complex(start_index)
-    _, candidates = _tight_cycles_at(X0, cls)
+    _, candidates = _tight_cycles_at(fam.chain_complex(start_index), cls)
     failures = []
     # each direction's maps are built and verified once, for every candidate
     fwd = step_maps(fam) if start_index < n - 1 else []
     bwd = step_maps(fam, reverse=True) if start_index > 0 else []
-    # bwd is ordered from the top interval downward
-    right = (range(start_index, n), fwd[start_index:])
-    left = (range(start_index, -1, -1), bwd[n - 1 - start_index:])
+    walks = [(a, _transport(fam, a, start_index, fwd, bwd)) for a in candidates]
 
-    def stays_tight(alpha, indices, maps):
-        cur = alpha
-        for k, i in enumerate(indices):
-            if k:
-                cur = maps[k - 1].apply(cur)
+    def stays_tight(chains, indices):
+        for i in indices:
             X = fam.chain_complex(i)
-            if X.level(cur) != rho(X, cur).value:
+            if X.level(chains[i]) != rho(X, chains[i]).value:
                 return False
         return True
 
-    alpha_plus = next((a for a in candidates if stays_tight(a, *right)), None)
-    alpha_minus = next((a for a in candidates if stays_tight(a, *left)), None)
+    alpha_plus = next((a for a, ch in walks if stays_tight(ch, range(start_index, n))), None)
+    alpha_minus = next((a for a, ch in walks if stays_tight(ch, range(start_index, -1, -1))), None)
     if alpha_plus is None:
         failures.append("no candidate stays tight on the right")
     if alpha_minus is None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,27 @@ FAMILY_CFG = {
     "family": {"kind": "closed_form", "expr": "cos(theta)", "eta_points": 3,
                "theta_points": 256},
 }
+POINT = {"orbits": [{"id": "x", "level": {"q": "0"}, "index": 0}], "boundary": []}
+ABSTRACT_CFG = {
+    "tasks": ["continuation"],
+    "family": {"kind": "abstract", "complexes": [POINT, POINT]},
+}
+
+
+def swap_config(levels, bounds=None, tasks=("diagram",)):
+    """Declared family whose orbits a and b take the given (a, b) levels,
+    with one crossing step then pairings."""
+    def point(la, lb):
+        return {"orbits": [{"id": "a", "level": {"q": str(la)}, "index": 0},
+                           {"id": "b", "level": {"q": str(lb)}, "index": 0}],
+                "boundary": []}
+
+    steps = [{"type": "crossing", "a": "a", "b": "b", "eta": 0.5, "value": 0.5}]
+    family = {"kind": "abstract", "complexes": [point(*lv) for lv in levels],
+              "steps": steps + [{"type": "pairing"}] * (len(levels) - 2)}
+    if bounds is not None:
+        family["bounds"] = bounds
+    return {"tasks": list(tasks), "family": family}
 
 
 def read_all(d: Path) -> dict:
@@ -97,6 +119,17 @@ class TestRun:
         pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], theta_points=0)), [],
                      "theta_points", id="theta-points"),
         pytest.param(FAMILY_CFG, ["--grid", "0"], "grid.eta", id="grid-flag"),
+        pytest.param(dict(FAMILY_CFG, family={"kind": "closed_form"}), [], "expr",
+                     id="family-without-expr"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], eta_points="x")), [],
+                     "eta_points", id="eta-points-string"),
+        pytest.param({"tasks": ["rho"], "complex": 3}, [], "complex", id="complex-number"),
+        pytest.param(dict(ABSTRACT_CFG, family=dict(ABSTRACT_CFG["family"], complexes=[3])), [],
+                     "complexes", id="complexes-number"),
+        pytest.param(dict(ABSTRACT_CFG, family=dict(ABSTRACT_CFG["family"], steps=5)), [],
+                     "steps", id="steps-number"),
+        pytest.param(dict(ABSTRACT_CFG, family=dict(ABSTRACT_CFG["family"], bounds=[[1]])), [],
+                     "bounds", id="bounds-short"),
     ])
     def test_malformed_values_end_in_a_structured_error(self, tmp_path, capsys, config, flags,
                                                         field):
@@ -109,7 +142,48 @@ class TestRun:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert set(err) == {"error", "message"}
+        assert err["error"] == "schema"
         assert f"{field!r}" in err["message"]
+
+    @pytest.mark.parametrize("step", [
+        pytest.param({"type": "slide"}, id="slide-without-its-keys"),
+        pytest.param({"type": "swap"}, id="unknown-type"),
+        pytest.param({"type": "crossing", "a": "x", "b": "x", "eta": 1.5}, id="crossing-eta"),
+    ])
+    def test_malformed_declared_step_is_a_validation_error(self, tmp_path, capsys, step):
+        cfg = dict(ABSTRACT_CFG, family=dict(ABSTRACT_CFG["family"], steps=[step]))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+    def test_two_sample_crossing_is_a_valid_diagram(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(swap_config([(0, 1), (1, 0)])))
+        assert run(p, tmp_path / "out") == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["results"]["diagram"]["valid"] is True
+        assert rep["results"]["diagram"]["crossings"] == 1
+
+    @pytest.mark.parametrize("bounds,code", [([["1/2", "1/2"], ["1/2", "1/2"]], 0), (None, 2)])
+    def test_declared_crossing_continues_as_a_pairing(self, tmp_path, bounds, code):
+        cfg = swap_config([(0, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 0)], bounds,
+                          ("diagram", "continuation"))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == code
+        res = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert res["diagram"]["valid"] is True
+        cont = res["continuation"]
+        one = [{"cap": [], "coeff": "1"}]
+        assert cont["map"] == [{"from": o, "to": o, "scalar": one, "provenance": "pairing"}
+                               for o in ("a", "b")]
+        if bounds is None:  # without declared bounds the level shifts sit in the middle band
+            assert {v[2] for v in cont["dichotomy"]["violations"]} == {"forbidden middle band"}
+        else:
+            assert cont["dichotomy"]["violations"] == []
 
     def test_hofer_task(self, tmp_path):
         code = run(GOLDEN / "hofer_cos.json", tmp_path)

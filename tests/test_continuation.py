@@ -20,7 +20,7 @@ from floermini.continuation import (
     transfer_level_curve,
     variation_bounds,
 )
-from floermini.errors import ChainMapError
+from floermini.errors import ChainMapError, EventError
 from floermini.spectral import rho
 
 BD_FAMILY = "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)"
@@ -433,3 +433,58 @@ class TestTransfer:
         vals = [float(r.value) for _, r in curve]
         jumps = [abs(b - a) for a, b in zip(vals, vals[1:])]
         assert max(jumps) < 0.1  # continuous at grid scale
+
+
+def _halves(kind, G):
+    if kind == "morse":
+        fam = MorseCerfFamily(BD_FAMILY, eta_points=33, theta_points=4096)
+        return sub_family(fam, 0.0, 0.5), sub_family(fam, 0.5, 1.0), "point"
+    fam = declared_birth_death_family(G)
+    return sub_family(fam, 0.0, 0.5), sub_family(fam, 0.5, 1.0), "h0_0"
+
+
+class TestConcatContract:
+    """A concatenation is read through the same contract as its parts."""
+
+    @pytest.mark.parametrize("kind", ["morse", "declared"])
+    def test_rho_curve_is_the_halves_joined(self, trivial_group, kind):
+        a, b, cls = _halves(kind, trivial_group)
+        cc = concat(a, b)
+        assert list(cc.grid) == [0.5 * e for e in a.grid] + [0.5 + 0.5 * e for e in b.grid[1:]]
+        got = [(r.value, r.witness) for _, r in rho_curve(cc, cls)]
+        ra = [(r.value, r.witness) for _, r in rho_curve(a, cls)]
+        rb = [(r.value, r.witness) for _, r in rho_curve(b, cls)]
+        assert got == ra + rb[1:]
+        assert dichotomy_constant(cc) == min(dichotomy_constant(a), dichotomy_constant(b))
+
+    @pytest.mark.parametrize("kind", ["morse", "declared"])
+    def test_transfer_is_the_halves_chained(self, trivial_group, kind):
+        a, b, cls = _halves(kind, trivial_group)
+        cc = concat(a, b)
+        alpha = rho(a.chain_complex(0), a.class_at(0, cls)).tight_cycle
+        curve = transfer_level_curve(alpha, cc, 0)
+        ca = transfer_level_curve(alpha, a, 0)
+        cb = transfer_level_curve(continuation_map(a).apply(alpha), b, 0)
+        assert curve.values == ca.values + cb.values[1:]
+        assert curve.peaks == ca.peaks + cb.peaks[1:]
+        assert curve.check_lipschitz()[0]
+        for start in (0, len(a.grid) - 1, len(cc.grid) - 1):
+            assert tightness_transfer_check(cc, cc.class_at(start, cls), start).ok
+
+    def test_nested_concat_is_associative(self):
+        fam = MorseCerfFamily(BD_FAMILY, eta_points=17, theta_points=4096)
+        a, b, c = (sub_family(fam, s, t) for s, t in ((0.0, 0.3), (0.3, 0.6), (0.6, 1.0)))
+        left, right = concat(concat(a, b), c), concat(a, concat(b, c))
+        assert len(left.grid) == len(right.grid) == 3 * 16 + 1
+        for reverse in (False, True):
+            assert [h.to_json() for h in step_maps(left, reverse)] == \
+                [h.to_json() for h in step_maps(right, reverse)]
+        assert dichotomy_constant(left) == dichotomy_constant(right)
+        assert variation_bounds(left).contributions == variation_bounds(right).contributions
+
+    def test_morse_and_declared_junction_mismatch(self, trivial_group):
+        morse = MorseCerfFamily("cos(theta)", eta_points=5)
+        declared = declared_birth_death_family(trivial_group)
+        for fam1, fam2 in ((morse, declared), (declared, morse)):
+            with pytest.raises(EventError):
+                concat(fam1, fam2)
