@@ -40,6 +40,7 @@ from .morse import (
     MorseFunction1D,
     _circle_distance,
     build_s1_morse,
+    compile_expression,
     pair_critical_lists,
     parse_expression,
     validate_expression,
@@ -84,20 +85,22 @@ def _horner(coeffs, x):
 
 
 class _Root:
-    """A family's closed form and partial derivatives, lambdified once and
-    shared with its sub-families, with its eta-expansion if it has one."""
+    """A family's closed form and partial derivatives, compiled once and
+    shared with its sub-families, with its eta-expansion if it has one.
+    The F_k and the G_k each compile to one list-returning function."""
 
     def __init__(self, expr):
-        self.f = sp.lambdify((_THETA, _ETA), expr, "numpy")
-        self.fp_theta = sp.lambdify((_THETA, _ETA), sp.diff(expr, _THETA), "numpy")
+        both = (_THETA, _ETA)
+        self.f = compile_expression(expr, both)
+        self.fp_theta = compile_expression(sp.diff(expr, _THETA), both)
         fp_eta = sp.diff(expr, _ETA)
-        self.fp_eta = sp.lambdify((_THETA, _ETA), fp_eta, "numpy")
+        self.fp_eta = compile_expression(fp_eta, both)
         self.eta_free = _ETA not in fp_eta.free_symbols  # same floats at every eta
         poly = expr.as_poly(_ETA)  # None when H is not polynomial in eta
         self._coeffs = None
         if poly is not None:
             F = poly.all_coeffs()[::-1]  # F_0, ..., F_d
-            self._coeffs = [sp.lambdify(_THETA, cs, "numpy")
+            self._coeffs = [compile_expression(cs, (_THETA,))
                             for cs in (F, [sp.diff(c, _THETA) for c in F])]
         self._expansions: dict = {}
 
@@ -370,13 +373,25 @@ class AbstractCerfFamily:
         self.steps = list(steps or [{"type": "pairing"} for _ in range(n - 1)])
         if len(self.steps) != n - 1:
             raise NonCerfError("need one declared step per grid interval")
-        for st in self.steps:
-            kind, eta = st.get("type", "pairing"), st.get("eta")
+        for i, st in enumerate(self.steps):
+            kind = st.get("type", "pairing")
             keys = self._STEP_KEYS.get(kind)
             if keys is None or not set(keys) <= st.keys():
                 raise NonCerfError(f"declared step {st!r}: types and keys are {self._STEP_KEYS}")
-            if kind != "pairing" and eta is not None and not 0.0 < float(eta) < 1.0:
+            try:
+                eta = float(st["eta"]) if "eta" in st else None
+                float(st.get("value", 0.0))
+            except (TypeError, ValueError):
+                raise NonCerfError(
+                    f"declared step {st!r}: eta and value must be numbers") from None
+            if kind != "pairing" and eta is not None and not 0.0 < eta < 1.0:
                 raise NonCerfError("declared events must lie strictly inside (0,1)")
+            if kind == "crossing":
+                for orbit in (st["a"], st["b"]):
+                    if not all(orbit in X.orbit_ids() for X in self.complexes[i:i + 2]):
+                        raise NonCerfError(
+                            f"declared step {st!r}: crossing orbit {orbit!r} is not an orbit"
+                            f" of complexes {i} and {i + 1}")
         self.bounds = [
             (Fraction(a), Fraction(b)) for a, b in (bounds or [(0, 0)] * (n - 1))
         ]

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+from mpmath.libmp import prec_to_dps as mpf_prec_to_dps, to_str as mpf_to_str
 
 from . import _kernels
 from .action import ActionValue, NovikovScalar, PeriodGroup, make_period_group
@@ -45,29 +46,92 @@ THETA_TOLERANCE = 1e-9
 VALUE_QUANTUM = 10**12
 
 _THETA = sp.Symbol("theta")
-_ALLOWED_FUNCS = (sp.sin, sp.cos)
+
+
+# -- the expression grammar, and its compiler -----------------------------------
+# One table admits a node and emits it as Python source.  The text keeps the
+# floating-point operations of sympy's NumPy printer in their order: Add terms
+# in `as_ordered_terms()` order, a Mul as its coefficient then
+# `as_ordered_factors()`, a Rational as (p/q), a Float as the printer writes it;
+# parentheses only where a subtree would otherwise regroup.
+
+def _emit_add(node, names):
+    return " + ".join(_wrap(t, names, sp.Add) for t in node.as_ordered_terms())
+
+
+def _emit_mul(node, names):
+    c, rest = node.as_coeff_Mul()
+    factors = [_wrap(f, names, (sp.Add, sp.Mul)) for f in rest.as_ordered_factors()]
+    if c is sp.S.NegativeOne:
+        return "-" + "*".join(factors)
+    return "*".join(factors if c is sp.S.One else [_emit(c, names)] + factors)
+
+
+def _emit_call(node, names):
+    return f"{node.func.__name__}({_emit(node.args[0], names)})"  # sin or cos of _NUMPY
+
+
+def _emit_float(node, names):
+    dps = 0 if node._prec < 5 else mpf_prec_to_dps(node._prec)
+    return f"({mpf_to_str(node._mpf_, dps)})"
+
+
+_NODES = {
+    sp.Add: _emit_add,
+    sp.Mul: _emit_mul,
+    sp.Pow: lambda node, names: (
+        f"{_wrap(node.base, names, (sp.Add, sp.Mul, sp.Pow, sp.Number))}**{int(node.exp)}"),
+    sp.Rational: lambda node, names: str(node.p) if node.q == 1 else f"({node.p}/{node.q})",
+    sp.Float: _emit_float,
+    type(sp.pi): lambda node, names: "pi",
+    sp.Symbol: lambda node, names: names[node],
+    sp.sin: _emit_call,
+    sp.cos: _emit_call,
+}
+_NUMPY = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "pi": np.pi}
+
+
+def _rule(node, symbols):
+    """The emitter of an admitted node; MorseError for any other node."""
+    for cls in type(node).__mro__:
+        if cls in _NODES:
+            break
+    else:
+        raise MorseError(f"unsupported expression node {node!r}")
+    if cls is sp.Pow and not (node.exp.is_Integer and node.exp >= 0):
+        raise MorseError(f"unsupported power {node}")
+    if cls is sp.Symbol and node not in symbols:
+        raise MorseError(f"unknown symbol {node}")
+    return _NODES[cls]
+
+
+def _emit(node, names):
+    return _rule(node, names)(node, names)
+
+
+def _wrap(node, names, grouped):
+    text = _emit(node, names)
+    return f"({text})" if isinstance(node, grouped) else text
 
 
 def validate_expression(expr: sp.Expr, symbols=(_THETA,)):
     """Restrict to sums/products of sin, cos, polynomials, rational constants."""
     for node in sp.preorder_traversal(expr):
-        if isinstance(node, (sp.Add, sp.Mul)):
-            continue
-        if isinstance(node, sp.Pow):
-            if not (node.exp.is_Integer and node.exp >= 0):
-                raise MorseError(f"unsupported power {node}")
-            continue
-        if isinstance(node, (sp.Integer, sp.Rational, sp.Float)):
-            continue
-        if node is sp.pi:
-            continue
-        if isinstance(node, sp.Symbol):
-            if node not in symbols:
-                raise MorseError(f"unknown symbol {node}")
-            continue
-        if isinstance(node, _ALLOWED_FUNCS):
-            continue
-        raise MorseError(f"unsupported expression node {node!r}")
+        _rule(node, symbols)
+
+
+def compile_expression(expr, symbols=(_THETA,)):
+    """A NumPy function of `symbols`, positionally, computing `expr` bit for
+    bit as sympy's NumPy code printer would; a list compiles to one
+    list-returning function.  Only admitted nodes are emitted, so this also
+    validates `expr`."""
+    names = {s: f"x{i}" for i, s in enumerate(symbols)}
+    if isinstance(expr, list):
+        body = "[" + ", ".join(_emit(e, names) for e in expr) + "]"
+    else:
+        body = _emit(expr, names)
+    source = f"lambda {', '.join(names.values())}: {body}"
+    return eval(compile(source, "<closed form>", "eval"), _NUMPY)
 
 
 def parse_expression(text: str, symbols=(_THETA,)) -> sp.Expr:
@@ -125,13 +189,13 @@ class MorseFunction1D:
 
     @classmethod
     def closed_form(cls, expr, N=DEFAULT_GRID, drift=0):
+        """f and f' compiled from the expression (text, or a sympy tree that
+        the compiler admits), minus the drift slope c * theta / 2pi."""
         if isinstance(expr, str):
             expr = parse_expression(expr)
-        else:
-            validate_expression(expr)
         drift = Fraction(drift)
-        f_p = sp.lambdify(_THETA, expr, "numpy")
-        fp_p = sp.lambdify(_THETA, sp.diff(expr, _THETA), "numpy")
+        f_p = compile_expression(expr)
+        fp_p = compile_expression(sp.diff(expr, _THETA))
         slope = float(drift) / TWO_PI
 
         def f(t):
@@ -173,8 +237,8 @@ class MorseFunction1D:
         return cls(f, fp, N=N, drift=drift, samples=values)
 
     # -- algebra on closed forms ------------------------------------------------
-    # negated() and added() reuse the parents' callables: no sympy diff or
-    # lambdify, while expr keeps the closed form for rotated() and reports.
+    # negated() and added() reuse the parents' callables: no sympy diff and
+    # no compile, while expr keeps the closed form for rotated() and reports.
 
     def negated(self) -> "MorseFunction1D":
         if self.expr is None:

@@ -174,6 +174,19 @@ def test_abstract_family_needs_one_grid_point_per_complex():
             AbstractCerfFamily(G, [X, X], grid=grid)
 
 
+def test_declared_crossing_names_orbits_of_both_adjacent_complexes():
+    G = make_period_group([], [])
+    X = FilteredComplex(G, [Orbit("x", 0, 0)], {})
+    XY = FilteredComplex(G, [Orbit("x", 0, 0), Orbit("y", 1, 0)], {})
+    YX = FilteredComplex(G, [Orbit("x", 1, 0), Orbit("y", 0, 0)], {})
+    crossing = {"type": "crossing", "a": "x", "b": "y", "eta": 0.5}
+    for comps in ([X, X], [X, XY], [XY, X]):
+        with pytest.raises(NonCerfError, match="crossing orbit 'y'"):
+            AbstractCerfFamily(G, comps, [crossing])
+    fam = AbstractCerfFamily(G, [XY, YX], [crossing])
+    assert classify_events(fam.diagram()).violations == []
+
+
 class TestGammaTranslate:
     def _abstract(self):
         G = make_period_group([ActionValue(1)], [0])

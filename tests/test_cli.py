@@ -145,19 +145,31 @@ class TestRun:
         assert err["error"] == "schema"
         assert f"{field!r}" in err["message"]
 
-    @pytest.mark.parametrize("step", [
-        pytest.param({"type": "slide"}, id="slide-without-its-keys"),
-        pytest.param({"type": "swap"}, id="unknown-type"),
-        pytest.param({"type": "crossing", "a": "x", "b": "x", "eta": 1.5}, id="crossing-eta"),
+    @pytest.mark.parametrize("step, fragment", [
+        pytest.param({"type": "slide"}, "types and keys", id="slide-without-its-keys"),
+        pytest.param({"type": "swap"}, "types and keys", id="unknown-type"),
+        pytest.param({"type": "crossing", "a": "x", "b": "x", "eta": 1.5}, "strictly inside",
+                     id="crossing-eta"),
+        pytest.param({"type": "slide", "slide_from": "x", "slide_over": "x", "eta": "x"},
+                     "must be numbers", id="slide-eta-text"),
+        pytest.param({"type": "birth", "plus": "x", "minus": "x", "eta": 0.5, "value": "v"},
+                     "must be numbers", id="birth-value-text"),
+        pytest.param({"type": "crossing", "a": "x", "b": "x", "eta": None},
+                     "must be numbers", id="crossing-eta-null"),
+        pytest.param({"type": "crossing", "a": "x", "b": "y", "eta": 0.5},
+                     "crossing orbit 'y'", id="crossing-unknown-orbit"),
     ])
-    def test_malformed_declared_step_is_a_validation_error(self, tmp_path, capsys, step):
+    def test_malformed_declared_step_is_a_validation_error(self, tmp_path, capsys, step,
+                                                           fragment):
         cfg = dict(ABSTRACT_CFG, family=dict(ABSTRACT_CFG["family"], steps=[step]))
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert run(p, tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert json.loads(err.splitlines()[-1])["error"] == "validation"
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1  # one JSON line, no traceback
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert fragment in err["message"]
 
     def test_two_sample_crossing_is_a_valid_diagram(self, tmp_path):
         p = tmp_path / "cfg.json"

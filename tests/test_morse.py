@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from floermini import _kernels, morse
+from floermini import _kernels, hofer, morse
 from floermini.action import ActionValue, make_period_group
 from floermini.cerf import MorseCerfFamily
 from floermini.complexes import NovikovChain
@@ -282,13 +284,33 @@ _BD_CUSP = 0.670534  # birth cusp of _BD, from its diagram at 33 x 4096
     ids=["grid-zero", "midpoint-zero", "cos", "near-cusp", "drift", "samples"],
 )
 def test_array_refinement_matches_scalar_bisection(make, exact):
-    f = make()
+    _assert_refinement_matches_bisection(make(), exact)
+
+
+def _assert_refinement_matches_bisection(f, exact=None):
     crit = f.critical_points()
     ref = _reference_thetas(f)
     assert [p.theta for p in crit] == ref  # bitwise, not within a tolerance
     assert [p.raw_value for p in crit] == [float(f._f(t)) for t in ref]
     if exact is not None:  # the exact zero of f' is returned as it is
         assert exact in ref
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_DRIFTS = st.sampled_from([Fraction(0), Fraction(1, 3)])
+
+
+def _random_trig(seed, drift):
+    """A hofer.random_trig_function closed form with the given drift, if Morse."""
+    expr, _ = hofer.random_trig_function(random.Random(seed))
+    f = MorseFunction1D.closed_form(expr, N=4096, drift=drift)
+    assume(_crit_or_none(f) is not None)
+    return f
+
+
+@given(seed=_SEEDS, drift=_DRIFTS)
+def test_array_refinement_matches_scalar_bisection_on_random_trig(seed, drift):
+    _assert_refinement_matches_bisection(_random_trig(seed, drift))
 
 
 # -- algebra on closed forms ---------------------------------------------------
@@ -354,6 +376,17 @@ def test_negation_copies_a_fresh_detection_bit_for_bit(drift):
         assert [(p.theta, p.value, p.index, p.raw_value) for p in copied.critical_points()] == [
             (p.theta, p.value, p.index, p.raw_value) for p in fresh.critical_points()
         ]
+
+
+@given(seed=_SEEDS, drift=_DRIFTS)
+def test_negation_copies_a_fresh_detection_of_the_negated_closed_form(seed, drift):
+    f = _random_trig(seed, drift)
+    fresh = MorseFunction1D.closed_form(-f.expr, N=f.N, drift=-drift)
+    copied = f.negated()
+    assert copied._crit is not None
+    assert [(p.theta, p.value, p.index, p.raw_value) for p in copied.critical_points()] == [
+        (p.theta, p.value, p.index, p.raw_value) for p in fresh.critical_points()
+    ]
 
 
 def test_negation_of_a_detected_function_does_not_detect(monkeypatch):
