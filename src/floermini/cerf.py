@@ -15,7 +15,10 @@ as exact evaluation writes it: f' samples near zero, their neighbours
 and both ends of each sign-change cell are re-evaluated exactly, and a
 mean near a half-quantum is recomputed by `periodic_mean()`.  An eta-free
 dH/deta is sampled once per family.  Other families (cos(theta + eta))
-evaluate the closed form per slice.
+evaluate the closed form per slice.  The grid slices are known before the
+walker runs, so a family scans each of them and then bisects the critical
+cells of all of them together, one call of the exact f'(theta, eta) per
+round; off-grid slices of the event bisection are detected one by one.
 
 Abstract families carry explicit complexes on the grid plus a declared
 event list; genericity has no combinatorial substitute, so undeclared
@@ -39,6 +42,7 @@ from .morse import (
     VALUE_QUANTUM,
     MorseFunction1D,
     _circle_distance,
+    bisect_cells,
     build_s1_morse,
     compile_expression,
     pair_critical_lists,
@@ -163,6 +167,7 @@ class MorseCerfFamily:
         self._diagram = None
         self._complexes: dict = {}
         self._slices: dict = {}
+        self._grid_detected = False
         self._eta_stats = None
 
     # -- parameter bookkeeping ---------------------------------------------------
@@ -206,9 +211,50 @@ class MorseCerfFamily:
             )
         return self._slices[s]
 
+    def detect_grid(self):
+        """Detect every grid slice not detected yet, bisecting the critical
+        cells of all of them together: each round is one call of the exact
+        f'(theta, eta), with eta per cell, so each cell takes the midpoints
+        and stops its own slice's detection would.  Only per-cell arrays
+        are kept, never a slice's sample grid.  A slice whose scan or finish
+        raises MorseError is left undetected: its `critical_points()` raises
+        that error where the walker meets it.  Runs once per family; event
+        bisection and pairing refinement keep the per-slice path."""
+        if self._grid_detected:
+            return
+        self._grid_detected = True
+        slices, scans, etas = [], [], []
+        for s in self.grid:
+            f = self.function_at(s)
+            if f._crit is not None:
+                continue
+            try:
+                scans.append(f._scan())
+            except MorseError:
+                continue
+            slices.append(f)
+            etas.append(self.root_eta(float(s)))
+        if not slices:
+            return
+        lo, flo, falls, means = zip(*scans)
+        sizes = [len(cells) for cells in lo]
+        eta = np.repeat(etas, sizes)
+        root = self._root
+        thetas = bisect_cells(
+            np.concatenate(lo), TWO_PI / self.theta_points, np.concatenate(flo),
+            lambda mid, act: np.zeros_like(mid) + root.fp_theta(mid, eta[act]))
+        raws = np.zeros_like(thetas) + root.f(thetas, eta)
+        cuts = np.cumsum(sizes)[:-1]
+        for f, *found in zip(slices, np.split(thetas, cuts), np.split(raws, cuts), falls, means):
+            try:
+                f._crit = f._finish(*found)
+            except MorseError:
+                pass
+
     def complex_at(self, i: int):
         """Morse complex report at grid index i (cached)."""
         if i not in self._complexes:
+            self.detect_grid()
             self._complexes[i] = build_s1_morse(self.function_at(self.grid[i]), 1)
         return self._complexes[i]
 
@@ -334,8 +380,9 @@ class AbstractCerfFamily:
        "cap": [...], "coeff": "c", "eta": e, "value": v}    transvection
       {"type": "birth"/"death", "plus": id, "minus": id,
        "eta": e, "value": v}                                pair creation/cancel
-    Declared per-step variation bounds may accompany the steps as
-    (e_minus, e_plus) pairs of rationals.
+    A declared event's eta lies strictly inside (0, 1) and in its own
+    interval [grid[i], grid[i+1]].  Declared per-step variation bounds may
+    accompany the steps as (e_minus, e_plus) pairs of rationals.
 
     Every family class, `ConcatFamily` included, gives `continuation` the
     same contract, so it never asks which kind it walks:
@@ -384,8 +431,14 @@ class AbstractCerfFamily:
             except (TypeError, ValueError):
                 raise NonCerfError(
                     f"declared step {st!r}: eta and value must be numbers") from None
-            if kind != "pairing" and eta is not None and not 0.0 < eta < 1.0:
-                raise NonCerfError("declared events must lie strictly inside (0,1)")
+            if kind != "pairing" and eta is not None:
+                if not 0.0 < eta < 1.0:
+                    raise NonCerfError("declared events must lie strictly inside (0,1)")
+                lo, hi = float(self.grid[i]), float(self.grid[i + 1])
+                if not lo <= eta <= hi:  # a grid point may itself be the event
+                    raise NonCerfError(
+                        f"declared step {i} {st!r}: its eta lies outside its interval"
+                        f" [{lo}, {hi}]")
             if kind == "crossing":
                 for orbit in (st["a"], st["b"]):
                     if not all(orbit in X.orbit_ids() for X in self.complexes[i:i + 2]):
@@ -517,6 +570,7 @@ def _morse_diagram(fam: MorseCerfFamily) -> CerfDiagram:
             fam.function_at(e).critical_points()
     except MorseError as e:
         raise NonCerfError(f"endpoint is degenerate: {e}") from None
+    fam.detect_grid()
 
     def crit_list(eta):
         try:
@@ -892,7 +946,19 @@ def sub_family(fam, eta1: float, eta2: float):
         comps = comps * 2
         steps = [{"type": "pairing"}]
         bounds = [(Fraction(0), Fraction(0))]
+    else:  # each declared event moves with its interval onto the new grid
+        new = np.linspace(0.0, 1.0, len(sel))
+        steps = [_moved(st, fam.grid[[a, b]], new[j:j + 2])
+                 for j, (st, a, b) in enumerate(zip(steps, sel, sel[1:]))]
     return AbstractCerfFamily(fam.period_group, comps, steps, bounds)
+
+
+def _moved(st, src, dst):
+    """A declared step whose interval, ends src in walk order, becomes dst."""
+    if "eta" not in st:
+        return st
+    t = (float(st["eta"]) - src[0]) / (src[1] - src[0])
+    return dict(st, eta=float(dst[0] + t * (dst[1] - dst[0])))
 
 
 def _reverse_step(st):

@@ -149,6 +149,38 @@ def _quantize(v: float) -> Fraction:
     return Fraction(round(v * VALUE_QUANTUM), VALUE_QUANTUM)
 
 
+def bisect_cells(lo: np.ndarray, h: float, flo: np.ndarray, fp) -> np.ndarray:
+    """Bisect every cell [lo, lo + h] to a zero of the derivative at once.
+
+    flo holds the derivative at lo, and fp(mid, act) gives it at the
+    midpoints `mid` of the still active cells `act` (indices into lo), so
+    cells of different functions can share a round.  Each cell stops on
+    its own at an exact zero or once narrower than THETA_TOLERANCE, so
+    every theta is the one a cell-by-cell bisection would return.
+    """
+    hi = lo + h
+    lo = lo.copy()
+    rising = flo > 0  # lo only moves to points where f' keeps this sign
+    theta = lo.copy()  # an exact zero at lo stands as it is
+    act = np.nonzero(flo != 0.0)[0]
+    while True:
+        wide = hi[act] - lo[act] > THETA_TOLERANCE
+        done = act[~wide]
+        theta[done] = 0.5 * (lo[done] + hi[done])
+        act = act[wide]
+        if not act.size:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        fmid = fp(mid, act)
+        zero = fmid == 0.0
+        theta[act[zero]] = mid[zero]
+        act, mid, fmid = act[~zero], mid[~zero], fmid[~zero]
+        same = (fmid > 0) == rising[act]
+        lo[act[same]] = mid[same]
+        hi[act[~same]] = mid[~same]
+    return theta
+
+
 class CriticalPoint:
     """Refined critical point; value is mean-zeroed and quantized."""
 
@@ -298,35 +330,6 @@ class MorseFunction1D:
             self._crit = self._detect()
         return self._crit
 
-    def _refine_cells(self, lo: np.ndarray, flo: np.ndarray) -> np.ndarray:
-        """Bisect every cell [lo, lo + h] to a zero of the derivative at once.
-
-        flo holds the derivative at lo.  Each cell stops on its own at an
-        exact zero or once narrower than THETA_TOLERANCE, so every theta is
-        the one a cell-by-cell bisection would return.
-        """
-        hi = lo + TWO_PI / self.N
-        lo = lo.copy()
-        rising = flo > 0  # lo only moves to points where f' keeps this sign
-        theta = lo.copy()  # an exact zero at lo stands as it is
-        act = np.nonzero(flo != 0.0)[0]
-        while True:
-            wide = hi[act] - lo[act] > THETA_TOLERANCE
-            done = act[~wide]
-            theta[done] = 0.5 * (lo[done] + hi[done])
-            act = act[wide]
-            if not act.size:
-                break
-            mid = 0.5 * (lo[act] + hi[act])
-            fmid = self._fp(mid)
-            zero = fmid == 0.0
-            theta[act[zero]] = mid[zero]
-            act, mid, fmid = act[~zero], mid[~zero], fmid[~zero]
-            same = (fmid > 0) == rising[act]
-            lo[act[same]] = mid[same]
-            hi[act[~same]] = mid[~same]
-        return theta
-
     def _approx_scan(self, g: np.ndarray, margin: float) -> np.ndarray:
         """Grid f' from `approx`, exact wherever an exact scan could differ.
 
@@ -345,6 +348,14 @@ class MorseFunction1D:
         return deriv
 
     def _detect(self) -> list:
+        lo, flo, falls, mean = self._scan()
+        thetas = bisect_cells(lo, TWO_PI / self.N, flo, lambda mid, act: self._fp(mid))
+        return self._finish(thetas, self._f(thetas), falls, mean)
+
+    def _scan(self):
+        """The grid scan and its checks: per critical cell its start lo,
+        f'(lo) and whether f' falls across it, and the quantized mean.
+        Only these per-cell arrays outlive the call, never the grid."""
         g = self.grid()
         h = TWO_PI / self.N
         margin = (2.0 / self.N) * h
@@ -368,13 +379,15 @@ class MorseFunction1D:
             )
         mean = None if self.approx is None else self.approx.quantized_mean()
         mean = _quantize(self.periodic_mean()) if mean is None else mean
-        thetas = self._refine_cells(g[cells], deriv[cells])
-        raws = self._f(thetas)
+        return g[cells], deriv[cells], deriv[cells] > deriv[shared], mean
+
+    def _finish(self, thetas, raws, falls, mean) -> list:
+        """Critical points at the refined thetas, with f there in raws:
+        index, raw and quantized value, then the alternation check."""
         out = []
-        for c, theta, raw in zip(cells, thetas, raws):
-            # derivative falls through zero at a maximum of f
-            index = 0 if deriv[c] > deriv[(c + 1) % self.N] else 1
+        for theta, raw, fall in zip(thetas, raws, falls):
             raw = float(raw)
+            index = 0 if fall else 1  # f' falls through zero at a maximum of f
             out.append(CriticalPoint(theta, _quantize(raw) - mean, index, raw))
         if self.drift == 0:
             zeros = sum(1 for p in out if p.index == 0)

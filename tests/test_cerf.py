@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floermini import hofer
 from floermini.action import ActionValue, NovikovScalar, make_period_group
 from floermini.cerf import (
     AbstractCerfFamily,
@@ -163,6 +165,22 @@ class TestSubFamily:
         fam = MorseCerfFamily(BD_FAMILY, eta_points=9)
         with pytest.raises(EventError):
             sub_family(fam, -0.1, 0.5)
+
+
+def test_declared_sub_family_moves_its_events_with_their_intervals():
+    G = make_period_group([], [])
+    A = FilteredComplex(G, [Orbit("a", 0, 0)], {})
+    B = FilteredComplex(G, [Orbit("a", 0, 0), Orbit("p", 2, 1), Orbit("m", 1, 0)],
+                        {"p": {"m": NovikovScalar.one(G)}})
+    fam = AbstractCerfFamily(G, [A, B, A], [
+        {"type": "birth", "plus": "p", "minus": "m", "eta": 0.25},
+        {"type": "death", "plus": "p", "minus": "m", "eta": 0.75}])
+    back = sub_family(fam, 1.0, 0.0)
+    assert [(st["type"], st["eta"]) for st in back.steps] == [("birth", 0.25), ("death", 0.75)]
+    assert [(st["type"], st["eta"]) for st in sub_family(fam, 0.5, 1.0).steps] == [
+        ("death", 0.5)]
+    with pytest.raises(NonCerfError, match="declared step 0 .* outside its interval"):
+        AbstractCerfFamily(G, [A, B, A], back.steps[::-1])
 
 
 def test_abstract_family_needs_one_grid_point_per_complex():
@@ -322,6 +340,79 @@ class TestEtaExpansion:
         for s in (0.0, 0.3, 1.0):
             assert _assert_slice_exact(fam, s).approx is None
         assert fam.variation_contributions() == _reference_contributions(fam)
+
+
+# -- one batched refinement for every grid slice ----------------------------------
+
+SLOPE_FAMILY = "cos(theta) + eta*(1/4*sin(2*theta) + 1/5*cos(3*theta))"
+
+
+def _forbidden(*args):
+    raise AssertionError("called")
+
+
+def _assert_grid_matches_per_slice(fam):
+    """`detect_grid()` gives every grid slice, bit for bit, what a fresh
+    per-slice detection of the same f, f' and expansion gives, and leaves a
+    slice whose detection raises undetected.  Returns how many it detected."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MorseFunction1D, "_detect", _forbidden)  # no per-slice path
+        fam.detect_grid()
+    detected = 0
+    for s in fam.grid:
+        sl = fam.function_at(s)
+        fresh = _outcome(MorseFunction1D(sl._f, sl._fp, N=sl.N, approx=sl.approx))
+        if sl._crit is None:
+            assert isinstance(fresh, str)
+        else:
+            detected += 1
+        assert _outcome(sl) == fresh
+    return detected
+
+
+class TestGridDetection:
+    @pytest.mark.parametrize("expr", [TWO_EVENT_FAMILY, BD_FAMILY, SLOPE_FAMILY],
+                             ids=["two_event", "birth_death", "slope"])
+    def test_batch_matches_per_slice_detection(self, expr):
+        fam = MorseCerfFamily(expr, theta_points=4096)
+        assert _assert_grid_matches_per_slice(fam) == len(fam.grid) == 257
+
+    def test_reversed_sub_family(self):
+        fam = sub_family(MorseCerfFamily(TWO_EVENT_FAMILY, eta_points=65, theta_points=4096),
+                         0.9, 0.1)
+        assert fam.reversed_orientation
+        assert _assert_grid_matches_per_slice(fam) == 65
+
+    @pytest.mark.parametrize("expr", ["cos(theta + eta) + 1/3*cos(2*theta)",
+                                      "cos(theta + 2*eta) + 2/5*sin(2*theta - eta)"])
+    def test_family_not_polynomial_in_eta(self, expr):
+        fam = MorseCerfFamily(expr, eta_points=65, theta_points=4096)
+        assert fam._root.expansion(4096) is None
+        assert _assert_grid_matches_per_slice(fam) == 65
+
+    @settings(max_examples=30)
+    @given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_linear_homotopies_of_random_trig_pairs(self, seeds):
+        f, g = (hofer.random_trig_function(random.Random(seed))[0] for seed in seeds)
+        fam = MorseCerfFamily(f"(1 - eta)*({f}) + eta*({g})", eta_points=17, theta_points=4096)
+        _assert_grid_matches_per_slice(fam)
+
+    def test_degenerate_interior_slice_is_left_to_the_walker(self):
+        fam = MorseCerfFamily("(1 - 2*eta)*cos(theta)", eta_points=33, theta_points=4096)
+        assert _assert_grid_matches_per_slice(fam) == 32
+        assert fam.function_at(0.5)._crit is None
+        with pytest.raises(NonCerfError) as err:
+            fam.diagram()
+        assert str(err.value) == (
+            "degenerate slice at eta=0.5: no critical points detected after normalization")
+
+    def test_runs_once_per_family(self, monkeypatch):
+        fam = MorseCerfFamily(BD_FAMILY, eta_points=9, theta_points=4096)
+        fam.complex_at(3)
+        assert all(fam.function_at(s)._crit is not None for s in fam.grid)
+        monkeypatch.setattr(MorseFunction1D, "_scan", _forbidden)
+        fam.detect_grid()
+        fam.complex_at(4)  # no second scan
 
 
 def _reference_contributions(fam):

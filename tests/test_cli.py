@@ -171,6 +171,31 @@ class TestRun:
         assert err["error"] == "validation"
         assert fragment in err["message"]
 
+    def test_declared_event_outside_its_interval_is_a_validation_error(self, tmp_path, capsys):
+        cfg = swap_config([(0, 1), (1, 0), (1, 0)], tasks=("diagram", "validate"))
+        cfg["family"]["steps"][0]["eta"] = 0.9  # step 0 spans [0, 0.5]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "validation"
+        assert err["message"].startswith("declared step 0 ")
+        assert "outside its interval [0.0, 0.5]" in err["message"]
+
+    def test_degenerate_interior_grid_slice(self, tmp_path, capsys):
+        cfg = {"family": {"kind": "closed_form", "expr": "(1 - 2*eta)*cos(theta)",
+                          "eta_points": 33, "theta_points": 4096},
+               "tasks": ["diagram", "rho_curve", "continuation"], "classes": ["point"]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 2
+        assert capsys.readouterr().err.splitlines() == [json.dumps({
+            "error": "validation",
+            "message": "degenerate slice at eta=0.5: no critical points detected after"
+                       " normalization"})]
+
     def test_two_sample_crossing_is_a_valid_diagram(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(swap_config([(0, 1), (1, 0)])))
@@ -320,15 +345,17 @@ class TestRun:
             assert len((out / "rho_curve.csv").read_text().splitlines()) == eta + 1
 
     def test_one_scan_per_slice(self, tmp_path, monkeypatch):
-        """One run builds the diagram and the step maps once, and detects
-        the critical points of each distinct slice at most once."""
+        """One run builds the diagram and the step maps once, and computes
+        the critical points of each distinct slice at most once, whether the
+        grid batch or the per-slice detection computes them."""
         import sys
 
         from floermini import cerf, continuation
         from floermini.morse import MorseFunction1D
 
-        calls = {"diagram": 0, "step_maps": 0, "detect": 0}
+        calls = {"diagram": 0, "step_maps": 0}
         slots = set()
+        detections: dict = {}  # slice -> times its critical points were computed
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -346,6 +373,18 @@ class TestRun:
                             monkeypatch.setattr(mod, attr, wrapper)
 
         function_at = cerf.MorseCerfFamily.function_at
+        detect, detect_grid = MorseFunction1D._detect, cerf.MorseCerfFamily.detect_grid
+
+        def counted_detect(f):
+            detections[f] = detections.get(f, 0) + 1
+            return detect(f)
+
+        def counted_detect_grid(fam):
+            before = {fam.function_at(s): fam.function_at(s)._crit for s in fam.grid}
+            detect_grid(fam)
+            for f, crit in before.items():
+                if f._crit is not crit:
+                    detections[f] = detections.get(f, 0) + 1
 
         def recorded_function_at(fam, s):
             slots.add(float(s))
@@ -353,7 +392,8 @@ class TestRun:
 
         count_everywhere("diagram", cerf.bifurcation_diagram)
         count_everywhere("step_maps", continuation.step_maps)
-        monkeypatch.setattr(MorseFunction1D, "_detect", counted("detect", MorseFunction1D._detect))
+        monkeypatch.setattr(MorseFunction1D, "_detect", counted_detect)
+        monkeypatch.setattr(cerf.MorseCerfFamily, "detect_grid", counted_detect_grid)
         monkeypatch.setattr(cerf.MorseCerfFamily, "function_at", recorded_function_at)
         cfg = {
             "family": {"kind": "closed_form",
@@ -367,7 +407,9 @@ class TestRun:
         assert run(p, tmp_path / "out") == 0
         assert calls["diagram"] == 1
         assert calls["step_maps"] == 1
-        assert 17 <= calls["detect"] <= len(slots)
+        # the batch and the per-slice path together: no slice twice
+        assert set(detections.values()) == {1}
+        assert 17 <= len(detections) <= len(slots)
 
     def test_ghost_translates_render_dashed(self, tmp_path):
         cfg = {
