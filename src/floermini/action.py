@@ -41,7 +41,6 @@ __all__ = [
     "POS_INFINITY",
     "make_period_group",
     "omega_eval",
-    "c1_eval",
     "compare",
     "scalar_valuation",
     "leading_term",
@@ -459,9 +458,6 @@ class PeriodGroup:
         return PeriodGroup(values, obj.get("c1", [0] * len(values)))
 
 
-TRIVIAL_GROUP = PeriodGroup([], [])
-
-
 def make_period_group(values, c1_weights) -> PeriodGroup:
     """Build a period group from exact constants; see PeriodGroup."""
     return PeriodGroup([ActionValue.coerce(v) for v in values], c1_weights)
@@ -469,10 +465,6 @@ def make_period_group(values, c1_weights) -> PeriodGroup:
 
 def omega_eval(cap, group: PeriodGroup) -> ActionValue:
     return group.omega(cap)
-
-
-def c1_eval(cap, group: PeriodGroup) -> int:
-    return group.c1(cap)
 
 
 def compare(a: ActionValue, b: ActionValue) -> int:

@@ -15,10 +15,12 @@ as exact evaluation writes it: f' samples near zero, their neighbours
 and both ends of each sign-change cell are re-evaluated exactly, and a
 mean near a half-quantum is recomputed by `periodic_mean()`.  An eta-free
 dH/deta is sampled once per family.  Other families (cos(theta + eta))
-evaluate the closed form per slice.  The grid slices are known before the
-walker runs, so a family scans each of them and then bisects the critical
-cells of all of them together, one call of the exact f'(theta, eta) per
-round; off-grid slices of the event bisection are detected one by one.
+evaluate the closed form per slice.  The family detects every slice it
+uses, `MorseCerfFamily.detect`: it scans each given slice and then
+bisects the critical cells of all of them together, one call of the
+exact f'(theta, eta) per round.  The grid slices are known before the
+walker runs and go in one batch; the endpoints, event bisection and
+pairing refinement ask for their slices through `detected_slice`.
 
 Abstract families carry explicit complexes on the grid plus a declared
 event list; genericity has no combinatorial substitute, so undeclared
@@ -33,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
+from . import _kernels
 from .action import PeriodGroup, make_period_group
 from .complexes import FilteredComplex
 from .errors import EventError, MorseError, NonCerfError, PairingError
@@ -67,6 +70,7 @@ __all__ = [
 
 ETA_TOLERANCE = 1e-6
 VALUE_TOLERANCE = 1e-9
+SLOPE_TOLERANCE = 10 * VALUE_TOLERANCE  # crossing slopes closer than this are equal
 DEFAULT_ETA_GRID = 257
 
 _THETA = sp.Symbol("theta")
@@ -90,10 +94,12 @@ def _horner(coeffs, x):
 
 class _Root:
     """A family's closed form and partial derivatives, compiled once and
-    shared with its sub-families, with its eta-expansion if it has one.
-    The F_k and the G_k each compile to one list-returning function."""
+    shared with its sub-families, and, when H is polynomial in eta, its
+    eta-expansion on the theta grid: (G_k grids, max|G_k|, mean F_k,
+    max|F_k|), else None.  The F_k and the G_k each compile to one
+    list-returning function."""
 
-    def __init__(self, expr):
+    def __init__(self, expr, theta_points: int):
         both = (_THETA, _ETA)
         self.f = compile_expression(expr, both)
         self.fp_theta = compile_expression(sp.diff(expr, _THETA), both)
@@ -101,47 +107,48 @@ class _Root:
         self.fp_eta = compile_expression(fp_eta, both)
         self.eta_free = _ETA not in fp_eta.free_symbols  # same floats at every eta
         poly = expr.as_poly(_ETA)  # None when H is not polynomial in eta
-        self._coeffs = None
+        self.expansion = None
         if poly is not None:
             F = poly.all_coeffs()[::-1]  # F_0, ..., F_d
-            self._coeffs = [compile_expression(cs, (_THETA,))
-                            for cs in (F, [sp.diff(c, _THETA) for c in F])]
-        self._expansions: dict = {}
-
-    def expansion(self, n: int):
-        """(G_k grids, max|G_k|, mean F_k, max|F_k|) on the n-point grid, or None."""
-        if self._coeffs is None:
-            return None
-        if n not in self._expansions:
+            n = theta_points
             thetas = np.arange(n) * (TWO_PI / n)  # MorseFunction1D.grid()
-            F, G = ([np.zeros(n) + c for c in lam(thetas)] for lam in self._coeffs)
-            self._expansions[n] = (G, [float(np.max(np.abs(c))) for c in G],
-                                   [float(np.mean(c)) for c in F],
-                                   [float(np.max(np.abs(c))) for c in F])
-        return self._expansions[n]
+            F, G = ([np.zeros(n) + c for c in compile_expression(cs, (_THETA,))(thetas)]
+                    for cs in (F, [sp.diff(c, _THETA) for c in F]))
+            self.expansion = (G, [float(np.max(np.abs(c))) for c in G],
+                              [float(np.mean(c)) for c in F],
+                              [float(np.max(np.abs(c))) for c in F])
 
 
-class _SliceExpansion:
-    """A slice's `approx` (see `MorseFunction1D`) from its root's expansion."""
+def _guarded_derivative(deriv, tol, fp, h):
+    """Patch deriv, within tol of f' on the grid of step h, to the exact fp
+    wherever an exact scan could differ.  Samples within tol of zero, and their
+    neighbours, are re-evaluated; the rest have the exact sign, so the
+    kernel finds the exact cells, at any margin.  Both ends of each cell
+    are then re-evaluated too, so flags, indices, the touching test and
+    the bisection starts are the exact scan's."""
+    near = np.abs(deriv) <= tol
+    idx = np.nonzero(near | np.roll(near, 1) | np.roll(near, -1))[0]
+    deriv[idx] = fp(idx * h)
+    cells, _ = _kernels.critical_cells(deriv, 0.0)
+    idx = np.concatenate([cells, (cells + 1) % len(deriv)])
+    deriv[idx] = fp(idx * h)
+    return deriv
 
-    __slots__ = ("expansion", "eta")
 
-    def __init__(self, expansion, eta: float):
-        self.expansion, self.eta = expansion, eta
-
-    def derivative(self):
-        G, g_max, _, _ = self.expansion
-        deriv = np.array(_horner(G, self.eta))  # a copy: the scan patches it
-        tol = _SCAN_GUARD * _EPS * _horner(g_max, abs(self.eta))
-        return deriv, max(tol, _SCAN_FLOOR)
-
-    def quantized_mean(self):
-        _, _, means, f_max = self.expansion
-        x = _horner(means, self.eta) * VALUE_QUANTUM
-        guard = _MEAN_GUARD * _EPS * VALUE_QUANTUM * _horner(f_max, abs(self.eta))
-        if abs(x - math.floor(x) - 0.5) <= guard:
-            return None  # the exact mean might round the other way
-        return Fraction(round(x), VALUE_QUANTUM)
+def _slice_scan(f, expansion, eta: float):
+    """`f._scan` of the slice f at eta.  Without an expansion its grid f' is
+    exact; with one, f' comes by Horner's rule under `_guarded_derivative`
+    and the mean from the F_k means, unless the exact mean might round the
+    other way: then f computes it."""
+    if expansion is None:
+        return f._scan(f._fp(f.grid()))
+    G, g_max, means, f_max = expansion
+    tol = max(_SCAN_GUARD * _EPS * _horner(g_max, abs(eta)), _SCAN_FLOOR)
+    deriv = _guarded_derivative(np.array(_horner(G, eta)), tol, f._fp, TWO_PI / f.N)  # a copy
+    x = _horner(means, eta) * VALUE_QUANTUM
+    guard = _MEAN_GUARD * _EPS * VALUE_QUANTUM * _horner(f_max, abs(eta))
+    near_half = abs(x - math.floor(x) - 0.5) <= guard
+    return f._scan(deriv, None if near_half else Fraction(round(x), VALUE_QUANTUM))
 
 
 class MorseCerfFamily:
@@ -162,11 +169,12 @@ class MorseCerfFamily:
         self.eta_points = int(eta_points)
         self.theta_points = int(theta_points)
         self.affine = (float(affine[0]), float(affine[1]))
-        self._root = _Root(expr) if _root is None else _root
+        self._root = _Root(expr, self.theta_points) if _root is None else _root
         self.grid = np.linspace(0.0, 1.0, self.eta_points)
         self._diagram = None
         self._complexes: dict = {}
         self._slices: dict = {}
+        self._failed: dict = {}  # slot -> MorseError text of its detection
         self._grid_detected = False
         self._eta_stats = None
 
@@ -189,7 +197,7 @@ class MorseCerfFamily:
 
     def function_at(self, s: float) -> MorseFunction1D:
         """Slice at slot s (cached): the walker, its event bisection, the
-        grid complexes and the crossing search share one detection per s.
+        grid complexes and the crossing search share one slice per s.
         A slice keeps its critical points and mean, never a sample grid."""
         s = float(s)
         if s not in self._slices:
@@ -204,36 +212,29 @@ class MorseCerfFamily:
                 t = np.asarray(t, dtype=float)
                 return np.zeros_like(t) + root.fp_theta(t, eta)
 
-            expansion = root.expansion(self.theta_points)
-            self._slices[s] = MorseFunction1D(
-                f, fp, N=self.theta_points,
-                approx=None if expansion is None else _SliceExpansion(expansion, eta),
-            )
+            self._slices[s] = MorseFunction1D(f, fp, N=self.theta_points)
         return self._slices[s]
 
-    def detect_grid(self):
-        """Detect every grid slice not detected yet, bisecting the critical
-        cells of all of them together: each round is one call of the exact
-        f'(theta, eta), with eta per cell, so each cell takes the midpoints
-        and stops its own slice's detection would.  Only per-cell arrays
-        are kept, never a slice's sample grid.  A slice whose scan or finish
-        raises MorseError is left undetected: its `critical_points()` raises
-        that error where the walker meets it.  Runs once per family; event
-        bisection and pairing refinement keep the per-slice path."""
-        if self._grid_detected:
-            return
-        self._grid_detected = True
+    def detect(self, slots):
+        """Detect the slices at `slots` not detected yet, bisecting the
+        critical cells of all of them together: each round is one call of
+        the exact f'(theta, eta), with eta per cell, so each cell takes the
+        midpoints and stops its own slice's detection would.  Only per-cell
+        arrays are kept, never a slice's sample grid.  A slice that raises
+        MorseError keeps the text for `detected_slice`: no rescan."""
         slices, scans, etas = [], [], []
-        for s in self.grid:
+        for s in dict.fromkeys(map(float, slots)):
             f = self.function_at(s)
-            if f._crit is not None:
+            if f._crit is not None or s in self._failed:
                 continue
+            eta = self.root_eta(s)
             try:
-                scans.append(f._scan())
-            except MorseError:
+                scans.append(_slice_scan(f, self._root.expansion, eta))
+            except MorseError as e:
+                self._failed[s] = str(e)
                 continue
-            slices.append(f)
-            etas.append(self.root_eta(float(s)))
+            slices.append((s, f))
+            etas.append(eta)
         if not slices:
             return
         lo, flo, falls, means = zip(*scans)
@@ -245,17 +246,33 @@ class MorseCerfFamily:
             lambda mid, act: np.zeros_like(mid) + root.fp_theta(mid, eta[act]))
         raws = np.zeros_like(thetas) + root.f(thetas, eta)
         cuts = np.cumsum(sizes)[:-1]
-        for f, *found in zip(slices, np.split(thetas, cuts), np.split(raws, cuts), falls, means):
+        for (s, f), *found in zip(slices, np.split(thetas, cuts), np.split(raws, cuts),
+                                  falls, means):
             try:
                 f._crit = f._finish(*found)
-            except MorseError:
-                pass
+            except MorseError as e:
+                self._failed[s] = str(e)
+
+    def detect_grid(self):
+        """`detect` of every grid slice, once per family."""
+        if not self._grid_detected:
+            self._grid_detected = True
+            self.detect(self.grid)
+
+    def detected_slice(self, s: float) -> MorseFunction1D:
+        """The slice at slot s with its critical points, detected by
+        `detect`; MorseError, with the detection's text, if it has none."""
+        s = float(s)
+        self.detect([s])
+        if s in self._failed:
+            raise MorseError(self._failed[s])
+        return self._slices[s]
 
     def complex_at(self, i: int):
         """Morse complex report at grid index i (cached)."""
         if i not in self._complexes:
             self.detect_grid()
-            self._complexes[i] = build_s1_morse(self.function_at(self.grid[i]), 1)
+            self._complexes[i] = build_s1_morse(self.detected_slice(self.grid[i]), 1)
         return self._complexes[i]
 
     def diagram(self) -> "CerfDiagram":
@@ -565,16 +582,16 @@ def bifurcation_diagram(fam) -> CerfDiagram:
 
 def _morse_diagram(fam: MorseCerfFamily) -> CerfDiagram:
     grid = fam.grid
+    fam.detect_grid()
     try:
         for e in (grid[0], grid[-1]):
-            fam.function_at(e).critical_points()
+            fam.detected_slice(e)
     except MorseError as e:
         raise NonCerfError(f"endpoint is degenerate: {e}") from None
-    fam.detect_grid()
 
     def crit_list(eta):
         try:
-            return fam.function_at(eta).critical_points()
+            return fam.detected_slice(eta).critical_points()
         except MorseError as e:
             raise NonCerfError(f"degenerate slice at eta={eta}: {e}") from None
 
@@ -858,7 +875,7 @@ def classify_events(d: CerfDiagram) -> ValidationReport:
         try:
             sa = branch_slope(d, c.branch_a, c.eta, side_hint=True)
             sb = branch_slope(d, c.branch_b, c.eta, side_hint=True)
-            if abs(sa - sb) <= 10 * VALUE_TOLERANCE:
+            if abs(sa - sb) <= SLOPE_TOLERANCE:
                 violations.append(
                     f"degenerate crossing at eta={c.eta:.6f}: equal slopes"
                 )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .action import ActionValue
-from .cerf import classify_events
+from .cerf import ETA_TOLERANCE, SLOPE_TOLERANCE, classify_events
 from .config import RunConfig
 from .continuation import (
     classify_entries,
@@ -28,9 +28,18 @@ from .continuation import (
 )
 from .errors import ConfigError, FloerminiError, NonCerfError, ValidationFailure
 from .hofer import gamma as hofer_gamma
-from .morse import build_circle_valued, build_s1_morse
+from .morse import THETA_TOLERANCE, VALUE_QUANTUM, build_circle_valued, build_s1_morse
 from .render import render_curve_svg, render_diagram_svg
 from .spectral import rho, spectrality_certificate
+
+
+# the tolerances that results depend on, echoed in every report.json
+TOLERANCES = {
+    "eta_event": ETA_TOLERANCE,
+    "theta_refine": THETA_TOLERANCE,
+    "value_quantum": f"{1 / VALUE_QUANTUM:g}",
+    "slope_check": SLOPE_TOLERANCE,
+}
 
 
 def _json_bytes(obj) -> bytes:
@@ -214,9 +223,8 @@ class Runner:
         f = self.cfg.build_function()
         rep = hofer_gamma(f, self.cfg.eps)
         self.report["hofer"] = rep.to_json()
-        sweep = int(self.cfg.raw.get("hofer_sweep", 0))
-        if sweep:
-            self._hofer_sweep(sweep)
+        if self.cfg.hofer_sweep:
+            self._hofer_sweep(self.cfg.hofer_sweep)
 
     def _hofer_sweep(self, count: int):
         """Random-pair property table: unit-class values of f, g and f+g,
@@ -322,7 +330,7 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
         "config_hash": hashlib.sha256(raw_bytes).hexdigest(),
         "grid": {"theta": cfg.theta_grid, "eta": runner.eta_grid()},
         "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
+        "tolerances": TOLERANCES,
         "results": runner.report,
     }
     _write(out / "report.json", _json_bytes(report))

@@ -21,14 +21,6 @@ KNOWN_TASKS = (
     "validate",
 )
 
-DEFAULT_TOLERANCES = {
-    "eta_event": 1e-6,
-    "theta_refine": 1e-9,
-    "value_quantum": "1e-12",
-    "slope_check": "10*(grid step)^2",
-}
-
-
 class RunConfig:
     """Validated run settings.  `eta_grid`, when given (the CLI's --grid),
     overrides both the config's grid.eta and a family's eta_points."""
@@ -63,11 +55,8 @@ class RunConfig:
         ):
             raise ConfigError("field 'classes' must be \"all\" or a non-empty list of names")
         self.out = raw.get("out")
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, Mapping):
-            raise ConfigError("field 'tolerances' must be an object")
-        self.tolerances = {**DEFAULT_TOLERANCES, **tolerances}
         self.ghost_translates = _integer("ghost_translates", raw.get("ghost_translates", 0))
+        self.hofer_sweep = _size("hofer_sweep", raw.get("hofer_sweep", 0), least=0)
 
         sources = [k for k in ("complex", "morse_function", "family") if k in raw]
         if len(sources) > 1:
@@ -171,10 +160,11 @@ def _integer(field: str, value) -> int:
         raise ConfigError(f"field {field!r} must be an integer") from None
 
 
-def _size(field: str, value) -> int:
+def _size(field: str, value, least=1) -> int:
     n = _integer(field, value)
-    if n < 1:
-        raise ConfigError(f"field {field!r} must be a positive integer")
+    if n < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ConfigError(f"field {field!r} must be a {kind} integer")
     return n
 
 

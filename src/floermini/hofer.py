@@ -112,14 +112,13 @@ class ConeReport:
 def cone_checks(pairs, eps=1, rotation=None) -> ConeReport:
     """Normal-cone axioms on the composition surrogate f (+) g := f + g.
 
-    Verifies unit-class subadditivity, relabeling invariance of the
-    circle coordinate (within the refinement tolerance), and identity
-    membership; all on mean-zero closed forms.
+    Verifies unit-class subadditivity and relabeling invariance of the
+    circle coordinate (within the refinement tolerance), on mean-zero
+    closed forms.
     """
     eps = Fraction(eps)
     checks = 0
     failures = []
-    zero = ActionValue.rational(0)
     # critical values are quantized to 1e-12: tight cases (equal minima)
     # may flip by one quantum, which is refinement noise, not geometry
     slack = ActionValue.rational(Fraction(4, 10**12))
@@ -137,9 +136,6 @@ def cone_checks(pairs, eps=1, rotation=None) -> ConeReport:
             rot = rho_unit(f.rotated(rotation), eps)
             if abs(float(rot) - float(rf)) > 1e-9:
                 failures.append(("relabeling", repr(f.expr)))
-    # identity membership: the zero path is homologically positive
-    if not zero <= zero:
-        failures.append(("identity", "0"))
     return ConeReport(checks, failures)
 
 

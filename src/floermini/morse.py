@@ -197,23 +197,15 @@ class CriticalPoint:
 
 
 class MorseFunction1D:
-    """Closed-form or sampled function on the circle, with optional drift.
+    """Closed-form or sampled function on the circle, with optional drift."""
 
-    `approx` (a Cerf slice's eta-expansion) is a cheaper grid scan:
-    `derivative()` gives (f' on the grid, a bound tol on its error) and
-    `quantized_mean()` the quantized mean, or None if it cannot vouch for
-    it.  Critical points stay those of an exact scan, bit for bit.
-    """
-
-    def __init__(self, f, fp, N=DEFAULT_GRID, drift=Fraction(0), expr=None, samples=None,
-                 approx=None):
+    def __init__(self, f, fp, N=DEFAULT_GRID, drift=Fraction(0), expr=None, samples=None):
         self._f = f
         self._fp = fp
         self.N = int(N)
         self.drift = Fraction(drift)
         self.expr = expr
         self.samples = samples
-        self.approx = approx
         self._crit = None
         self._mean = None
 
@@ -330,36 +322,18 @@ class MorseFunction1D:
             self._crit = self._detect()
         return self._crit
 
-    def _approx_scan(self, g: np.ndarray, margin: float) -> np.ndarray:
-        """Grid f' from `approx`, exact wherever an exact scan could differ.
-
-        Samples within tol of zero, and their neighbours, are re-evaluated;
-        the rest have the exact sign, so the kernel finds the exact cells.
-        Both ends of each cell are then re-evaluated too, so flags, indices,
-        the touching test and the bisection starts are the exact scan's.
-        """
-        deriv, tol = self.approx.derivative()
-        near = np.abs(deriv) <= tol
-        idx = np.nonzero(near | np.roll(near, 1) | np.roll(near, -1))[0]
-        deriv[idx] = self._fp(g[idx])
-        cells, _ = _kernels.critical_cells(deriv, margin)
-        idx = np.concatenate([cells, (cells + 1) % self.N])
-        deriv[idx] = self._fp(g[idx])
-        return deriv
-
     def _detect(self) -> list:
-        lo, flo, falls, mean = self._scan()
+        lo, flo, falls, mean = self._scan(self._fp(self.grid()))
         thetas = bisect_cells(lo, TWO_PI / self.N, flo, lambda mid, act: self._fp(mid))
         return self._finish(thetas, self._f(thetas), falls, mean)
 
-    def _scan(self):
-        """The grid scan and its checks: per critical cell its start lo,
-        f'(lo) and whether f' falls across it, and the quantized mean.
-        Only these per-cell arrays outlive the call, never the grid."""
-        g = self.grid()
+    def _scan(self, deriv: np.ndarray, mean: Fraction | None = None):
+        """The checks of the grid f' in deriv: per critical cell its start
+        lo, f'(lo) and whether f' falls across it, and the quantized mean,
+        `mean` if given.  Only these per-cell arrays outlive the call,
+        never the grid."""
         h = TWO_PI / self.N
         margin = (2.0 / self.N) * h
-        deriv = self._fp(g) if self.approx is None else self._approx_scan(g, margin)
         if not np.all(np.isfinite(deriv)):
             raise MorseError("derivative evaluation failed")
         cells, flags = _kernels.critical_cells(deriv, margin)
@@ -374,12 +348,11 @@ class MorseFunction1D:
         touching = shared[(np.roll(cells, -1) == shared) & (np.abs(deriv[shared]) < margin)]
         if touching.size:
             raise MorseError(
-                f"degenerate critical point at theta={g[touching[0]]:.9f}: "
+                f"degenerate critical point at theta={touching[0] * h:.9f}: "
                 "f' touches zero on the grid"
             )
-        mean = None if self.approx is None else self.approx.quantized_mean()
         mean = _quantize(self.periodic_mean()) if mean is None else mean
-        return g[cells], deriv[cells], deriv[cells] > deriv[shared], mean
+        return cells * h, deriv[cells], deriv[cells] > deriv[shared], mean
 
     def _finish(self, thetas, raws, falls, mean) -> list:
         """Critical points at the refined thetas, with f there in raws:

@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floermini import hofer
+from floermini import cerf, hofer
 from floermini.action import ActionValue, NovikovScalar, make_period_group
 from floermini.cerf import (
     AbstractCerfFamily,
@@ -22,6 +22,7 @@ from floermini.cerf import (
 from floermini.complexes import FilteredComplex, Orbit
 from floermini.errors import EventError, MorseError, NonCerfError, RankMismatchError
 from floermini.morse import MorseFunction1D, _quantize
+from test_morse import _GRID_POINT, _shifted_sine, _trig as _trig_text
 
 BD_FAMILY = "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)"
 TWO_EVENT_FAMILY = (
@@ -270,20 +271,24 @@ class TestGammaTranslate:
 # -- the eta-expansion against the exact callables ----------------------------
 
 
-def _outcome(f):
+def _outcome(critical_points):
     """Critical points as bitwise-comparable tuples, or the MorseError text."""
     try:
-        return [(p.theta, p.value, p.index, p.raw_value) for p in f.critical_points()]
+        return [(p.theta, p.value, p.index, p.raw_value) for p in critical_points()]
     except MorseError as e:
         return str(e)
 
 
+def _exact_outcome(sl):
+    """What a plain exact detection of the slice's f and f' gives."""
+    return _outcome(MorseFunction1D(sl._f, sl._fp, N=sl.N).critical_points)
+
+
 def _assert_slice_exact(fam, s):
-    """The slice's critical points equal a scan of the same exact callables
-    with no expansion, bit for bit."""
+    """The family's detection of the slice at s equals a plain exact
+    detection of the same callables, bit for bit."""
     sl = fam.function_at(s)
-    exact = MorseFunction1D(sl._f, sl._fp, N=sl.N)
-    assert _outcome(sl) == _outcome(exact)
+    assert _outcome(lambda: fam.detected_slice(s).critical_points()) == _exact_outcome(sl)
     return sl
 
 
@@ -309,36 +314,51 @@ class TestEtaExpansion:
         expr = f"({k[0]}) + cos(theta) + ({a})/2 + eta*({k[1]} + {b})"
         expr += f" + eta**2*({c})" if quadratic else ""
         fam = MorseCerfFamily(expr, eta_points=9, theta_points=self.N)
+        assert fam._root.expansion is not None
         for s in slots + [0.0, 0.5, 1.0]:
-            assert _assert_slice_exact(fam, s).approx is not None
+            _assert_slice_exact(fam, s)
 
-    def test_exact_zero_and_near_zero_on_the_grid(self):
+    def test_exact_zero_and_near_zero_on_the_grid(self, monkeypatch):
+        guarded, seen = cerf._guarded_derivative, []
+
+        def spy(deriv, tol, fp, h):
+            seen.append((deriv.copy(), tol))
+            return guarded(deriv, tol, fp, h)
+
+        monkeypatch.setattr(cerf, "_guarded_derivative", spy)
         fam = MorseCerfFamily(BD_FAMILY, eta_points=9, theta_points=self.N)
         sl = _assert_slice_exact(fam, 0.0)
         g = sl.grid()
         assert sl._fp(g[:1])[0] == 0.0  # f' = -sin(theta) vanishes at theta = 0
         assert 0.0 in [p.theta for p in sl.critical_points()]
-        deriv, tol = sl.approx.derivative()
+        [(deriv, tol)] = seen
         half = self.N // 2  # theta = pi exactly: -sin(pi) is about -1.2e-16
         assert 0.0 < abs(sl._fp(g[half:half + 1])[0]) < 1e-15
         assert abs(deriv[half]) <= tol  # re-evaluated exactly
 
-    def test_mean_on_a_half_quantum_falls_back(self):
+    def test_mean_on_a_half_quantum_falls_back(self, monkeypatch):
+        scan, means = MorseFunction1D._scan, {}  # slice -> the mean given to its scan
+
+        def spy(f, deriv, mean=None):
+            means[f] = mean
+            return scan(f, deriv, mean)
+
+        monkeypatch.setattr(MorseFunction1D, "_scan", spy)
         fam = MorseCerfFamily(
             "1/2000000000000 + cos(theta) + eta*sin(2*theta)", eta_points=9, theta_points=self.N
         )
         for s in (0.0, 0.25, 1.0):
-            sl = _assert_slice_exact(fam, s)
-            assert sl.approx.quantized_mean() is None
+            assert means[_assert_slice_exact(fam, s)] is None  # the slice computes it
         sl = _assert_slice_exact(MorseCerfFamily(BD_FAMILY, theta_points=self.N), 0.25)
-        assert sl.approx.quantized_mean() == _quantize(sl.periodic_mean())
+        assert means[sl] == _quantize(sl.periodic_mean())
 
     def test_family_not_polynomial_in_eta_keeps_the_exact_path(self):
         fam = MorseCerfFamily("cos(theta + eta) + 1/4*cos(2*theta)", eta_points=9,
                               theta_points=self.N)
         assert not fam._root.eta_free
+        assert fam._root.expansion is None
         for s in (0.0, 0.3, 1.0):
-            assert _assert_slice_exact(fam, s).approx is None
+            _assert_slice_exact(fam, s)
         assert fam.variation_contributions() == _reference_contributions(fam)
 
 
@@ -352,21 +372,21 @@ def _forbidden(*args):
 
 
 def _assert_grid_matches_per_slice(fam):
-    """`detect_grid()` gives every grid slice, bit for bit, what a fresh
-    per-slice detection of the same f, f' and expansion gives, and leaves a
-    slice whose detection raises undetected.  Returns how many it detected."""
+    """`detect_grid()` gives every grid slice, bit for bit, what a plain
+    exact detection of the same f and f' gives, and a slice whose detection
+    raises keeps that MorseError without a second scan.  Returns how many
+    slices it detected."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MorseFunction1D, "_detect", _forbidden)  # no per-slice path
         fam.detect_grid()
+        mp.setattr(MorseFunction1D, "_scan", _forbidden)  # no slice twice
+        got = [_outcome(lambda: fam.detected_slice(s).critical_points()) for s in fam.grid]
     detected = 0
-    for s in fam.grid:
+    for s, outcome in zip(fam.grid, got):
         sl = fam.function_at(s)
-        fresh = _outcome(MorseFunction1D(sl._f, sl._fp, N=sl.N, approx=sl.approx))
-        if sl._crit is None:
-            assert isinstance(fresh, str)
-        else:
-            detected += 1
-        assert _outcome(sl) == fresh
+        assert isinstance(outcome, str) == (sl._crit is None)
+        detected += sl._crit is not None
+        assert outcome == _exact_outcome(sl)
     return detected
 
 
@@ -387,7 +407,7 @@ class TestGridDetection:
                                       "cos(theta + 2*eta) + 2/5*sin(2*theta - eta)"])
     def test_family_not_polynomial_in_eta(self, expr):
         fam = MorseCerfFamily(expr, eta_points=65, theta_points=4096)
-        assert fam._root.expansion(4096) is None
+        assert fam._root.expansion is None
         assert _assert_grid_matches_per_slice(fam) == 65
 
     @settings(max_examples=30)
@@ -481,3 +501,87 @@ class TestVariationContributions:
         assert fam.variation_contributions() == _reference_contributions(fam)
         rev = sub_family(fam, 0.9, 0.1)
         assert rev.variation_contributions() == _reference_contributions(rev)
+
+
+# -- the guard of the expansion's grid f' ------------------------------------------
+
+
+def _misleading(d, tol, mode):
+    """The grid f' d off by up to tol at every sample.
+
+    "toward" moves every sample toward zero by tol, so samples closer to
+    zero than tol change sign; "away" moves them away from zero, so
+    samples barely off zero look far from it.  Exact zeros become +tol or
+    -tol, alternately.
+    """
+    push = np.sign(d) if mode == "away" else -np.sign(d)
+    approx = d + push * tol
+    zeros = np.nonzero(d == 0.0)[0]
+    approx[zeros] = tol * (1 - 2 * (np.arange(zeros.size) % 2))
+    assert np.all(np.abs(approx - d) <= tol + np.spacing(np.abs(approx) + np.abs(d)))
+    return approx
+
+
+def _subnormal_product(N=4096):
+    """f' = sin(theta) from a table, except that the sample at pi is the
+    smallest subnormal and the next one -(1/2 + 2^-50): the kernel's
+    product on that cell rounds to -5e-324, a crossing, and moving the
+    next sample toward zero by any tol rounds it to -0.0 instead."""
+    g = np.arange(N) * (2 * math.pi / N)
+    d = np.sin(g)
+    d[N // 2], d[N // 2 + 1] = 5e-324, -(0.5 + 2.0**-50)
+    return MorseFunction1D(
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: np.interp(np.asarray(t, dtype=float), g, d, period=2 * math.pi),
+        N=N,
+    )
+
+
+def _misleading_cases():
+    h = 2 * math.pi / 4096
+    margin = (2.0 / 4096) * h
+    degenerate_on_grid = (
+        "-5/8*cos(theta) + 3/8*sin(theta) + 3/4*cos(2*theta) + 5/8*sin(2*theta)"
+        " - 5/8*cos(3*theta) + 3/8*sin(3*theta)"
+    )
+    # f' = sin(theta - h/2)^3: a degenerate zero inside a cell, whose
+    # ends sit about 4.5e-10 off zero, far below the curvature margin
+    cubic = MorseFunction1D(
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: np.sin(np.asarray(t, dtype=float) - h / 2) ** 3,
+        N=4096,
+    )
+    rng = random.Random(5)
+    makes = [
+        lambda: _shifted_sine(_GRID_POINT),
+        lambda: MorseFunction1D.closed_form("cos(theta)", N=4096),
+        lambda: MorseFunction1D.closed_form(degenerate_on_grid, N=4096),
+        lambda: cubic,
+        _subnormal_product,
+    ] + [
+        (lambda e: lambda: MorseFunction1D.closed_form(e, N=4096))(_trig_text(rng))
+        for _ in range(4)
+    ]
+    return [(make, tol) for make in makes for tol in (1e-14, margin / 2, 2 * margin, 1e-2)]
+
+
+def _scan_outcome(f, deriv):
+    """`f._scan` of the grid f' deriv as bitwise-comparable lists (cell
+    starts, f' there, falls, mean), or the MorseError text.  Detection
+    bisects from these alone, so equal scans give equal critical points."""
+    try:
+        return [x.tolist() if isinstance(x, np.ndarray) else x for x in f._scan(deriv)]
+    except MorseError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("mode", ["toward", "away"])
+def test_misleading_approximation_gives_the_exact_scan(mode):
+    """Whatever the approximation within its tol, the guarded grid f' scans
+    (or raises its MorseError) as the exact one does, bit for bit."""
+    for make, tol in _misleading_cases():
+        f = make()
+        exact = f._fp(f.grid())
+        guarded = cerf._guarded_derivative(_misleading(exact, tol, mode), tol, f._fp,
+                                           2 * math.pi / f.N)
+        assert _scan_outcome(f, guarded) == _scan_outcome(f, exact)

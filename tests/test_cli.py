@@ -62,7 +62,19 @@ class TestRun:
         assert entry["spectral"] is True
         assert rep["results"]["validate"]["ok"]
         assert "config_hash" in rep and "engine_version" in rep
-        assert "tolerances" in rep
+        assert rep["tolerances"] == {"eta_event": 1e-6, "theta_refine": 1e-9,
+                                     "value_quantum": "1e-12", "slope_check": 1e-8}
+
+    def test_config_tolerances_are_not_read(self, tmp_path):
+        """The report gives the tolerances the engine applies, not a
+        config's `tolerances` field."""
+        from floermini import cerf
+
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(FUNCTION_CFG, tolerances={"eta_event": 0.5})))
+        assert run(p, tmp_path / "out") == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["tolerances"]["eta_event"] == cerf.ETA_TOLERANCE == 1e-6
 
     def test_constant_family_diagram(self, tmp_path):
         code = run(GOLDEN / "constant_diagram.json", tmp_path)
@@ -101,7 +113,6 @@ class TestRun:
                      id="ghost-translates"),
         pytest.param(dict(FUNCTION_CFG, morse_function=dict(COS, drift="x")), [], "drift",
                      id="drift"),
-        pytest.param(dict(FUNCTION_CFG, tolerances=[1]), [], "tolerances", id="tolerances"),
         pytest.param(dict(FUNCTION_CFG, classes=5), [], "classes", id="classes-number"),
         pytest.param(dict(FUNCTION_CFG, classes="h0_0"), [], "classes", id="classes-string"),
         pytest.param(dict(FAMILY_CFG, classes=[]), [], "classes", id="classes-empty"),
@@ -130,6 +141,10 @@ class TestRun:
                      "steps", id="steps-number"),
         pytest.param(dict(ABSTRACT_CFG, family=dict(ABSTRACT_CFG["family"], bounds=[[1]])), [],
                      "bounds", id="bounds-short"),
+        pytest.param(dict(FUNCTION_CFG, tasks=["hofer"], hofer_sweep="x"), [], "hofer_sweep",
+                     id="hofer-sweep-string"),
+        pytest.param(dict(FUNCTION_CFG, tasks=["hofer"], hofer_sweep=-1), [], "hofer_sweep",
+                     id="hofer-sweep-negative"),
     ])
     def test_malformed_values_end_in_a_structured_error(self, tmp_path, capsys, config, flags,
                                                         field):
@@ -345,9 +360,8 @@ class TestRun:
             assert len((out / "rho_curve.csv").read_text().splitlines()) == eta + 1
 
     def test_one_scan_per_slice(self, tmp_path, monkeypatch):
-        """One run builds the diagram and the step maps once, and computes
-        the critical points of each distinct slice at most once, whether the
-        grid batch or the per-slice detection computes them."""
+        """One run builds the diagram and the step maps once, and scans each
+        distinct slice at most once, a slice that fails detection included."""
         import sys
 
         from floermini import cerf, continuation
@@ -355,7 +369,7 @@ class TestRun:
 
         calls = {"diagram": 0, "step_maps": 0}
         slots = set()
-        detections: dict = {}  # slice -> times its critical points were computed
+        scans: dict = {}  # slice -> times it was scanned
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -372,19 +386,11 @@ class TestRun:
                         if value is fn:
                             monkeypatch.setattr(mod, attr, wrapper)
 
-        function_at = cerf.MorseCerfFamily.function_at
-        detect, detect_grid = MorseFunction1D._detect, cerf.MorseCerfFamily.detect_grid
+        function_at, scan = cerf.MorseCerfFamily.function_at, MorseFunction1D._scan
 
-        def counted_detect(f):
-            detections[f] = detections.get(f, 0) + 1
-            return detect(f)
-
-        def counted_detect_grid(fam):
-            before = {fam.function_at(s): fam.function_at(s)._crit for s in fam.grid}
-            detect_grid(fam)
-            for f, crit in before.items():
-                if f._crit is not crit:
-                    detections[f] = detections.get(f, 0) + 1
+        def counted_scan(f, *args):
+            scans[f] = scans.get(f, 0) + 1
+            return scan(f, *args)
 
         def recorded_function_at(fam, s):
             slots.add(float(s))
@@ -392,8 +398,7 @@ class TestRun:
 
         count_everywhere("diagram", cerf.bifurcation_diagram)
         count_everywhere("step_maps", continuation.step_maps)
-        monkeypatch.setattr(MorseFunction1D, "_detect", counted_detect)
-        monkeypatch.setattr(cerf.MorseCerfFamily, "detect_grid", counted_detect_grid)
+        monkeypatch.setattr(MorseFunction1D, "_scan", counted_scan)
         monkeypatch.setattr(cerf.MorseCerfFamily, "function_at", recorded_function_at)
         cfg = {
             "family": {"kind": "closed_form",
@@ -407,9 +412,29 @@ class TestRun:
         assert run(p, tmp_path / "out") == 0
         assert calls["diagram"] == 1
         assert calls["step_maps"] == 1
-        # the batch and the per-slice path together: no slice twice
-        assert set(detections.values()) == {1}
-        assert 17 <= len(detections) <= len(slots)
+        assert set(scans.values()) == {1}
+        assert 17 <= len(scans) <= len(slots)
+
+    def test_family_slices_never_detect_on_their_own(self, tmp_path, monkeypatch):
+        """`floermini run` detects every slice of a closed-form family
+        through the family, the walker's endpoints, event bisection and
+        pairing refinement included: no slice reaches the per-slice
+        `MorseFunction1D._detect`."""
+        from floermini.morse import MorseFunction1D
+
+        def forbidden(f):
+            raise AssertionError("a family slice detected on its own")
+
+        monkeypatch.setattr(MorseFunction1D, "_detect", forbidden)
+        for name, expr in CERF_CLI_FAMILIES.items():
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps({
+                "family": {"kind": "closed_form", "expr": expr,
+                           "eta_points": 257, "theta_points": 16384},
+                "tasks": ["diagram", "rho_curve", "continuation"],
+                "classes": ["point"],
+            }))
+            assert main(["run", str(p), "--out", str(tmp_path / name)]) == 0
 
     def test_ghost_translates_render_dashed(self, tmp_path):
         cfg = {
@@ -432,6 +457,13 @@ class TestRun:
         svg = (tmp_path / "out" / "diagram.svg").read_text()
         assert "stroke-dasharray" in svg
 
+
+# the closed-form families of the cerf_cli benchmark workload
+CERF_CLI_FAMILIES = {
+    "two_event": "(1-eta)*cos(theta) + eta*(3/2*cos(2*theta - 7/10) - 3/10*cos(3*theta))",
+    "birth_death": "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)",
+    "slope": "cos(theta) + eta*(1/4*sin(2*theta) + 1/5*cos(3*theta))",
+}
 
 ARTIFACTS = ("branches.csv", "events.csv", "diagram.svg", "rho_curve.csv",
              "rho_curve.svg", "report.json")
@@ -458,18 +490,19 @@ class TestEtaExpansion:
                 "classes": ["point"],
             }))
         scans = []
-        derivative = cerf._SliceExpansion.derivative
-        monkeypatch.setattr(cerf._SliceExpansion, "derivative",
-                            lambda self: scans.append(self) or derivative(self))
+        guarded = cerf._guarded_derivative
+        monkeypatch.setattr(cerf, "_guarded_derivative",
+                            lambda *args: scans.append(args) or guarded(*args))
         assert run(path, tmp_path / "on") == 0
         assert scans
 
-        class ExactRoot(cerf._Root):
-            def __init__(self, expr):
-                super().__init__(expr)
-                self.eta_free, self._coeffs = False, None
+        root_init = cerf._Root.__init__
 
-        monkeypatch.setattr(cerf, "_Root", ExactRoot)
+        def exact_root(root, *args):
+            root_init(root, *args)
+            root.eta_free, root.expansion = False, None
+
+        monkeypatch.setattr(cerf._Root, "__init__", exact_root)
         scans.clear()
         assert run(path, tmp_path / "off") == 0
         assert not scans

@@ -486,92 +486,3 @@ def test_small_morse_mismatch_raises_under_python_O():
         check=True,
     )
     assert out.stdout.split() == ["optimize", "1", "raised"]
-
-
-# -- scans from an approximate grid derivative -----------------------------------
-
-
-class _Misleading:
-    """A grid f' off by up to tol at every sample, as an `approx` of f.
-
-    "toward" moves every sample toward zero by tol, so samples closer to
-    zero than tol change sign; "away" moves them away from zero, so
-    samples barely off zero look far from it.  Exact zeros become +tol or
-    -tol, alternately.
-    """
-
-    def __init__(self, f, tol, mode):
-        self.exact = f._fp(f.grid())
-        self.tol, self.mode = tol, mode
-
-    def derivative(self):
-        d = self.exact
-        push = np.sign(d) if self.mode == "away" else -np.sign(d)
-        approx = d + push * self.tol
-        zeros = np.nonzero(d == 0.0)[0]
-        approx[zeros] = self.tol * (1 - 2 * (np.arange(zeros.size) % 2))
-        assert np.all(np.abs(approx - d) <= self.tol + np.spacing(np.abs(approx) + np.abs(d)))
-        return approx, self.tol
-
-    def quantized_mean(self):
-        return None
-
-
-def _subnormal_product(N=4096):
-    """f' = sin(theta) from a table, except that the sample at pi is the
-    smallest subnormal and the next one -(1/2 + 2^-50): the kernel's
-    product on that cell rounds to -5e-324, a crossing, and moving the
-    next sample toward zero by any tol rounds it to -0.0 instead."""
-    g = np.arange(N) * (2 * math.pi / N)
-    d = np.sin(g)
-    d[N // 2], d[N // 2 + 1] = 5e-324, -(0.5 + 2.0**-50)
-    return MorseFunction1D(
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        lambda t: np.interp(np.asarray(t, dtype=float), g, d, period=2 * math.pi),
-        N=N,
-    )
-
-
-def _misleading_cases():
-    h = 2 * math.pi / 4096
-    margin = (2.0 / 4096) * h
-    degenerate_on_grid = (
-        "-5/8*cos(theta) + 3/8*sin(theta) + 3/4*cos(2*theta) + 5/8*sin(2*theta)"
-        " - 5/8*cos(3*theta) + 3/8*sin(3*theta)"
-    )
-    # f' = sin(theta - h/2)^3: a degenerate zero inside a cell, whose
-    # ends sit about 4.5e-10 off zero, far below the curvature margin
-    cubic = MorseFunction1D(
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        lambda t: np.sin(np.asarray(t, dtype=float) - h / 2) ** 3,
-        N=4096,
-    )
-    rng = random.Random(5)
-    makes = [
-        lambda: _shifted_sine(_GRID_POINT),
-        lambda: MorseFunction1D.closed_form("cos(theta)", N=4096),
-        lambda: MorseFunction1D.closed_form(degenerate_on_grid, N=4096),
-        lambda: cubic,
-        _subnormal_product,
-    ] + [
-        (lambda e: lambda: MorseFunction1D.closed_form(e, N=4096))(_trig(rng))
-        for _ in range(4)
-    ]
-    return [(make, tol) for make in makes for tol in (1e-14, margin / 2, 2 * margin, 1e-2)]
-
-
-@pytest.mark.parametrize("mode", ["toward", "away"])
-def test_misleading_approximation_gives_the_exact_scan(mode):
-    """Whatever the approximation within its tol, the scan's critical
-    points (or its MorseError) are the exact scan's, bit for bit."""
-
-    def outcome(f):
-        try:
-            return [(p.theta, p.value, p.index, p.raw_value) for p in f.critical_points()]
-        except MorseError as e:
-            return str(e)
-
-    for make, tol in _misleading_cases():
-        f = make()
-        g = MorseFunction1D(f._f, f._fp, N=f.N, approx=_Misleading(f, tol, mode))
-        assert outcome(g) == outcome(MorseFunction1D(f._f, f._fp, N=f.N))
