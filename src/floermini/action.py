@@ -8,22 +8,24 @@ integer form, so comparing two caps is the sign of X + Y sqrt(d) for
 integers X, Y.
 
 Novikov scalars are stored as exact fractions num/den of finitely supported
-group-ring elements over the period group, in lowest terms.  A product of
-reduced a/b and c/d is cross-cancelled, gcd(ac, bd) = gcd(a, d) gcd(c, b),
-so a monomial factor takes no gcd.  Any truncation window can be
-materialized deterministically from the fraction, so "widening a window"
-is recomputation, never mutation.
+group-ring elements over the period group: two integer Laurent polynomials
+{cap: int}, coprime, with den's leading term at q^0 and positive, and with
+no integer common to all their coefficients.  That form is unique, and all
+arithmetic on it runs on Python ints.  The polynomial gcd is a native
+heuristic gcd (GCDHEU: evaluate at a large integer, take the integer gcd,
+read the polynomial back from its digits, accept it after exact trial
+division) in at most two variables, the rank bound of a period group.  A
+product of coprime a/b and c/d is cross-cancelled, gcd(ac, bd) =
+gcd(a, d) gcd(c, b), so a monomial factor takes no gcd.  Any truncation
+window can be materialized deterministically from the fraction, so
+"widening a window" is recomputation, never mutation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring
 
 from .errors import (
     BasisMismatchError,
@@ -510,100 +512,259 @@ def _terms_add(a: dict, b: dict) -> dict:
     return out
 
 
-@functools.cache
-def _poly_ring(rank: int):
-    return ring(",".join(f"x{i}" for i in range(rank)), ZZ)[0]
+def _shift(terms: dict, by: tuple, sign: int) -> dict:
+    return {tuple(x + sign * m for x, m in zip(cap, by)): v for cap, v in terms.items()}
 
 
-def _to_poly(R, terms: dict):
-    """Integer polynomial of L * `terms` times the monomial clearing negative
-    exponents, for the least L > 0 clearing the denominators; (poly, low, L)."""
-    low = tuple(min(exps) for exps in zip(*terms))
-    scale = math.lcm(*(v.denominator for v in terms.values()))
-    poly = R.from_dict(
-        {
-            tuple(x - m for x, m in zip(cap, low)): v.numerator * (scale // v.denominator)
-            for cap, v in terms.items()
-        }
-    )
-    return poly, low, scale
+# -- the heuristic gcd --------------------------------------------------------
+#
+# Polynomials here are {exponents: int} with non-negative exponents in one
+# or two variables; {(): n} is the integer n once every variable is spent.
 
 
-def _from_poly(poly, low: tuple, scale: int) -> dict:
-    return {tuple(x + m for x, m in zip(e, low)): Fraction(v * scale) for e, v in poly.items()}
+def _eval_last(p: dict, x: int) -> dict:
+    """p with its last variable set to x."""
+    powers = [1]
+    for _ in range(max(e[-1] for e in p)):
+        powers.append(powers[-1] * x)
+    out: dict = {}
+    for e, c in p.items():
+        k = e[:-1]
+        out[k] = out.get(k, 0) + c * powers[e[-1]]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interp_last(p: dict, x: int) -> dict:
+    """The polynomial in one more variable whose value at x is p, each
+    coefficient spelled in symmetric x-adic digits."""
+    out = {}
+    half = x // 2
+    for k, c in p.items():
+        i = 0
+        while c:
+            d = c % x
+            if d > half:
+                d -= x
+            if d:
+                out[k + (i,)] = d
+            c = (c - d) // x
+            i += 1
+    return out
+
+
+def _balanced_digits(n: int, s: int) -> list:
+    """Digits d_i in [-2**(s-1), 2**(s-1)) with n == sum d_i 2**(s*i), for
+    s a multiple of 8: the bytes of n plus 2**(s-1) at every digit."""
+    count = n.bit_length() // s + 2
+    half = 1 << (s - 1)
+    halves = half * (((1 << s * count) - 1) // ((1 << s) - 1))
+    raw = (n + halves).to_bytes(count * s // 8, "little")
+    step = s // 8
+    return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]
+
+
+def _exact_quotient(f: dict, h: dict):
+    """f / h when h divides f, else None; one or two variables.
+
+    f and h are packed into integers by x_last = 2**s and, with two
+    variables, x_0 = 2**(s * width) for width past f's degree in x_last;
+    the integer quotient is unpacked in balanced base-2**s digits.  Packing
+    is evaluation, so a remainder means that h does not divide f.  A
+    quotient q passes when h * q - f, which vanishes at the packing point,
+    has every coefficient below 2**s and every exponent inside the box, so
+    is zero.  s is sized first for quotient coefficients up to |f|, then
+    for 2**deg(f) * |f|_2, which bounds every factor of f (Mignotte): a
+    true quotient always passes there, so None means that h does not
+    divide f.
+    """
+    degs = [max(col) for col in zip(*f)]
+    hdegs = [max(col) for col in zip(*h)]
+    if any(a > b for a, b in zip(hdegs, degs)):
+        return None
+    width = degs[-1] + 1 if len(degs) == 2 else 0
+    f_max = max(map(abs, f.values()))
+    h_sum = sum(map(abs, h.values()))
+    mignotte = (math.isqrt(sum(c * c for c in f.values())) + 1) << sum(degs)
+    for bound in (f_max, mignotte):
+        s = -(-(f_max + (h_sum + 2) * bound).bit_length() // 8) * 8
+        ph = sum(c << s * (e[0] * width + e[-1]) for e, c in h.items())
+        if not ph:
+            continue
+        n, r = divmod(sum(c << s * (e[0] * width + e[-1]) for e, c in f.items()), ph)
+        if r:
+            return None
+        digits = _balanced_digits(n, s)
+        if width:
+            q = {divmod(pos, width): d for pos, d in enumerate(digits) if d}
+            if hdegs[1] + max(e[1] for e in q) > degs[1]:
+                continue
+        else:
+            q = {(pos,): d for pos, d in enumerate(digits) if d}
+        if f_max + h_sum * max(map(abs, q.values())) < 1 << s:
+            return q
+    return None
+
+
+def _heu_xi(f: dict, g: dict) -> int:
+    """The first evaluation point of `_heu_gcd`.  It exceeds twice the
+    smaller coefficient norm, so a candidate that divides f and g is their
+    gcd (Char, Geddes & Gonnet 1989)."""
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    return max(2 * min(fn, gn) + 29, 2 * min(fn // abs(f[max(f)]), gn // abs(g[max(g)])) + 4)
+
+
+def _heu_gcd(f: dict, g: dict):
+    """(h, f/h, g/h) for h = gcd(f, g), nonzero f and g; GCDHEU (Char,
+    Geddes & Gonnet 1989).
+
+    The last variable is set to an integer xi and the gcd of the images is
+    taken, an integer gcd once no variable is left.  Its symmetric xi-adic
+    digits, made primitive, are the gcd as soon as they divide f and g;
+    otherwise xi grows to about 2.73 xi**(5/4) and the round repeats.  A
+    large enough xi always passes.
+    """
+    if not next(iter(f)):
+        a, b = f[()], g[()]
+        c = math.gcd(a, b)
+        return {(): c}, {(): a // c}, {(): b // c}
+    c = math.gcd(*f.values(), *g.values())
+    if c != 1:
+        f = {e: v // c for e, v in f.items()}
+        g = {e: v // c for e, v in g.items()}
+    xi = _heu_xi(f, g)
+    while True:
+        ff, gg = _eval_last(f, xi), _eval_last(g, xi)
+        if ff and gg:
+            h = _interp_last(_heu_gcd(ff, gg)[0], xi)
+            if len(h) == 1 and not any(next(iter(h))):  # an integer: f and g are coprime
+                return {next(iter(h)): c}, f, g
+            k = math.gcd(*h.values())
+            if h[max(h)] < 0:
+                k = -k
+            h = {e: v // k for e, v in h.items()}
+            cff = _exact_quotient(f, h)
+            cfg = None if cff is None else _exact_quotient(g, h)
+            if cfg is not None:
+                return {e: v * c for e, v in h.items()}, cff, cfg
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def _terms_cancel(num: dict, den: dict, rank: int):
-    """Divide the Laurent polynomials num and den by their gcd.
+    """Divide the integer Laurent polynomials num and den by their gcd.
 
     Monomials are units, so the gcd is taken of the polynomials left after
     shifting every exponent to be non-negative.  A monomial on either side
-    leaves nothing to cancel.  The result is num/den up to one rational
-    factor shared by both sides, which the leading-term normalization fixes.
+    leaves nothing to cancel, and a gcd that is an integer returns the pair
+    as it came: the integer content is left to the normalization.
     """
     if rank == 0 or len(num) < 2 or len(den) < 2:
         return num, den
-    R = _poly_ring(rank)
-    p, p_low, p_scale = _to_poly(R, num)
-    q, q_low, q_scale = _to_poly(R, den)
-    g, p, q = p.cofactors(q)
-    if g.is_ground:
+    num_low = tuple(map(min, zip(*num)))
+    den_low = tuple(map(min, zip(*den)))
+    h, p, q = _heu_gcd(_shift(num, num_low, -1), _shift(den, den_low, -1))
+    if len(h) == 1:  # one term dividing polynomials with no monomial factor
         return num, den
-    # num/den = (q_scale * p) / (p_scale * q)
-    return _from_poly(p, p_low, q_scale), _from_poly(q, q_low, p_scale)
+    return _shift(p, num_low, 1), _shift(q, den_low, 1)
 
 
-def _lead_to_one(group: PeriodGroup, num: dict, den: dict):
-    """(num, den) times the unit c * q^A that makes the leading term of den
-    1 * q^0; for coprime num and den this is the reduced form, with no gcd."""
-    cap0 = group.lowest(den)
-    inv = 1 / den[cap0]
+def _integral(terms: Mapping, scale: int) -> dict:
+    """scale * terms, as ints, for rational terms whose denominators divide
+    scale."""
+    return {k: v.numerator * (scale // v.denominator) for k, v in terms.items()}
+
+
+def _normalized(group: PeriodGroup, num: dict, den: dict, cap0: tuple):
+    """(num, den) times the unit +-q^-cap0 / c, for c the integer content of
+    the pair: with cap0 den's leading cap, the canonical form of coprime
+    num and den."""
+    c = math.gcd(*num.values(), *den.values())
+    if den[cap0] < 0:
+        c = -c
     if any(cap0):
         return tuple(
-            {tuple(x - y for x, y in zip(c, cap0)): v * inv for c, v in t.items()}
+            {tuple(x - y for x, y in zip(k, cap0)): v // c for k, v in t.items()}
             for t in (num, den)
         )
-    if inv == 1:
+    if c == 1:
         return num, den
-    return {c: v * inv for c, v in num.items()}, {c: v * inv for c, v in den.items()}
+    return {k: v // c for k, v in num.items()}, {k: v // c for k, v in den.items()}
+
+
+class _TermsView(Mapping):
+    """{cap: Fraction} view of integer terms over a positive integer."""
+
+    __slots__ = ("_terms", "_over")
+
+    def __init__(self, terms: dict, over: int):
+        self._terms, self._over = terms, over
+
+    def __getitem__(self, cap):
+        return Fraction(self._terms[cap], self._over)
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class NovikovScalar:
     """Element of the Novikov field presented as num/den of finite series.
 
-    The presentation is reduced: num and den are coprime Laurent
-    polynomials, and the leading (minimal-omega) term of den is 1 * q^0.
-    Zero is 0/1.  Reduced fractions are unique, and they keep elimination
-    over dense period groups from swelling through un-cancelled products.
-    `*` and `/` cancel each side of one operand against the other operand
-    (the inputs are reduced, so that is the whole gcd) and then only scale
-    den's leading term, found by the group's integer cap order, to 1.
+    num and den are integer Laurent polynomials {cap: int} in canonical
+    form: coprime, den's leading (minimal-omega) cap is q^0 with a positive
+    coefficient, and the integer content of the pair is 1.  Zero is 0/1.
+    Canonical pairs are unique, so `==` compares them, and they keep
+    elimination over dense period groups from swelling through
+    un-cancelled products.  `*` and `/` cancel each side of one operand
+    against the other operand (the inputs are coprime, so that is the whole
+    gcd) and then only shift den's leading term, found by the group's
+    integer cap order, to q^0.  The gcd is `_heu_gcd`, on Python ints.
 
-    The support map below any window level is materialized on demand with
-    `terms_below`; the result is guaranteed complete below the requested
-    window and recomputed deterministically when the window widens.
+    `num` and `den` are read as {cap: Fraction}, scaled so that den's
+    leading coefficient is 1.  The support map below any window level is
+    materialized on demand with `terms_below`; the result is guaranteed
+    complete below the requested window and recomputed deterministically
+    when the window widens.
     """
 
-    __slots__ = ("group", "num", "den")
+    __slots__ = ("group", "_num", "_den")
 
-    def __init__(self, group: PeriodGroup, num: dict, den: dict | None = None):
+    def __init__(self, group: PeriodGroup, num: Mapping, den: Mapping | None = None):
         self.group = group
         num = {k: v for k, v in num.items() if v}
-        den = {group.zero_cap: _ONE} if den is None else {k: v for k, v in den.items() if v}
-        if not den:
-            raise ZeroScalarError("zero denominator")
-        if num:
-            num, den = _terms_cancel(num, den, group.rank)
-            self.num, self.den = _lead_to_one(group, num, den)
-        else:
-            self.num, self.den = num, {group.zero_cap: _ONE}
+        if den is not None:
+            den = {k: v for k, v in den.items() if v}
+            if not den:
+                raise ZeroScalarError("zero denominator")
+        if not num:
+            self._num, self._den = num, {group.zero_cap: 1}
+            return
+        if den is None:  # a least common denominator leaves no common factor
+            scale = math.lcm(*(v.denominator for v in num.values()))
+            self._num, self._den = _integral(num, scale), {group.zero_cap: scale}
+            return
+        scale = math.lcm(*(v.denominator for t in (num, den) for v in t.values()))
+        num, den = _terms_cancel(_integral(num, scale), _integral(den, scale), group.rank)
+        self._num, self._den = _normalized(group, num, den, group.lowest(den))
 
     @classmethod
-    def _reduced(cls, group: PeriodGroup, num: dict, den: dict) -> "NovikovScalar":
-        """A scalar from a num/den pair already in reduced form, as is."""
+    def _make(cls, group: PeriodGroup, num: dict, den: dict) -> "NovikovScalar":
+        """A scalar from a canonical integer pair, as is."""
         out = object.__new__(cls)
-        out.group, out.num, out.den = group, num, den
+        out.group, out._num, out._den = group, num, den
         return out
+
+    @property
+    def num(self) -> Mapping:
+        return _TermsView(self._num, self._den[self.group.zero_cap])
+
+    @property
+    def den(self) -> Mapping:
+        return _TermsView(self._den, self._den[self.group.zero_cap])
 
     # -- constructors --------------------------------------------------------
 
@@ -629,15 +790,15 @@ class NovikovScalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._num)
 
     @property
     def is_finite(self) -> bool:
-        # a one-term den is 1 * q^0: its leading term is normalized
-        return len(self.den) == 1
+        # a one-term den is a constant: its leading cap is q^0
+        return len(self._den) == 1
 
     # -- field arithmetic ------------------------------------------------------
 
@@ -647,67 +808,76 @@ class NovikovScalar:
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        if self.den == other.den:
-            return NovikovScalar(self.group, _terms_add(self.num, other.num), self.den)
-        num = _terms_add(_terms_mul(self.num, other.den), _terms_mul(other.num, self.den))
-        return NovikovScalar(self.group, num, _terms_mul(self.den, other.den))
+        if self._den == other._den:
+            num, den = _terms_add(self._num, other._num), self._den
+        else:
+            num = _terms_add(_terms_mul(self._num, other._den), _terms_mul(other._num, self._den))
+            den = _terms_mul(self._den, other._den)
+        if not num:
+            return NovikovScalar.zero(self.group)
+        group = self.group
+        num, den = _terms_cancel(num, den, group.rank)
+        return NovikovScalar._make(group, *_normalized(group, num, den, group.lowest(den)))
 
     def __neg__(self):
-        # -num/den is as reduced as num/den: same gcd, same leading den term
-        return NovikovScalar._reduced(
-            self.group, {c: -v for c, v in self.num.items()}, dict(self.den)
-        )
+        # -num/den is as canonical as num/den: same gcd, same den
+        return NovikovScalar._make(self.group, {c: -v for c, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
-        if not self.num or not other.num:
+        if not self._num or not other._num:
             return NovikovScalar.zero(self.group)
-        # (a/b)(c/d), both reduced: gcd(ac, bd) = gcd(a, d) gcd(c, b)
-        rank = self.group.rank
-        a, d = _terms_cancel(self.num, other.den, rank)
-        c, b = _terms_cancel(other.num, self.den, rank)
+        # (a/b)(c/d), both coprime: gcd(ac, bd) = gcd(a, d) gcd(c, b)
+        group = self.group
+        a, d = _terms_cancel(self._num, other._den, group.rank)
+        c, b = _terms_cancel(other._num, self._den, group.rank)
         num, den = _terms_mul(a, c), _terms_mul(b, d)
-        if b is not self.den or d is not other.den:  # else lead(bd) is 1
-            num, den = _lead_to_one(self.group, num, den)
-        return NovikovScalar._reduced(self.group, num, den)
+        if b is self._den and d is other._den:  # lead(bd) = lead(b) lead(d) at q^0
+            cap0 = group.zero_cap
+        else:
+            cap0 = group.lowest(den)
+        return NovikovScalar._make(group, *_normalized(group, num, den, cap0))
 
     def __truediv__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check(other)
         if other.is_zero():
             raise ZeroScalarError("division by the zero scalar")
-        if not self.num:
+        if not self._num:
             return NovikovScalar.zero(self.group)
-        # (a/b)/(c/d) = ad/(bc), both reduced: gcd(ad, bc) = gcd(a, c) gcd(d, b)
-        rank = self.group.rank
-        a, c = _terms_cancel(self.num, other.num, rank)
-        d, b = _terms_cancel(other.den, self.den, rank)
-        num, den = _lead_to_one(self.group, _terms_mul(a, d), _terms_mul(b, c))
-        return NovikovScalar._reduced(self.group, num, den)
+        # (a/b)/(c/d) = ad/(bc), both coprime: gcd(ad, bc) = gcd(a, c) gcd(d, b)
+        group = self.group
+        a, c = _terms_cancel(self._num, other._num, group.rank)
+        d, b = _terms_cancel(other._den, self._den, group.rank)
+        num, den = _terms_mul(a, d), _terms_mul(b, c)
+        return NovikovScalar._make(group, *_normalized(group, num, den, group.lowest(den)))
 
     def scale(self, c) -> "NovikovScalar":
         c = _as_fraction(c)
         if not c:
             return NovikovScalar.zero(self.group)
-        # a nonzero rational factor keeps num/den reduced
-        return NovikovScalar._reduced(
-            self.group, {cap: v * c for cap, v in self.num.items()}, dict(self.den)
-        )
+        # a nonzero rational factor keeps num/den coprime and den's lead at q^0
+        group = self.group
+        num = {cap: v * c.numerator for cap, v in self._num.items()}
+        den = {cap: v * c.denominator for cap, v in self._den.items()}
+        return NovikovScalar._make(group, *_normalized(group, num, den, group.zero_cap))
 
     def invert(self) -> "NovikovScalar":
         if self.is_zero():
             raise ZeroScalarError("the zero scalar has no inverse")
         # den/num is as coprime as num/den
-        num, den = _lead_to_one(self.group, dict(self.den), dict(self.num))
-        return NovikovScalar._reduced(self.group, num, den)
+        group = self.group
+        return NovikovScalar._make(
+            group, *_normalized(group, self._den, self._num, group.lowest(self._num))
+        )
 
     def __eq__(self, other):
         if not isinstance(other, NovikovScalar):
             return NotImplemented
         self._check(other)
-        return self.num == other.num and self.den == other.den  # both reduced
+        return self._num == other._num and self._den == other._den  # both canonical
 
     def __hash__(self):
         raise TypeError("NovikovScalar is not hashable")
@@ -718,14 +888,14 @@ class NovikovScalar:
         """min omega over the support; +inf sentinel for the zero scalar."""
         if self.is_zero():
             return POS_INFINITY
-        return self.group.omega(self.group.lowest(self.num))  # den has valuation 0
+        return self.group.omega(self.group.lowest(self._num))  # den has valuation 0
 
     def leading_term(self):
         """(cap, coefficient) of the minimal-omega support element."""
         if self.is_zero():
             raise ZeroScalarError("the zero scalar has no leading term")
-        cap = self.group.lowest(self.num)
-        return cap, self.num[cap]
+        cap = self.group.lowest(self._num)
+        return cap, Fraction(self._num[cap], self._den[self.group.zero_cap])
 
     # -- windowed materialization ----------------------------------------------
 
@@ -739,13 +909,10 @@ class NovikovScalar:
         if self.is_zero():
             return {}
         if self.is_finite:
-            out = {c: v for c, v in self.num.items() if self.group.omega(c) <= window}
-            return out
+            return {c: v for c, v in self.num.items() if self.group.omega(c) <= window}
         # den = 1 + w with valuation(w) = delta > 0
         w = dict(self.den)
         del w[self.group.zero_cap]
-        if not w:
-            return {c: v for c, v in self.num.items() if self.group.omega(c) <= window}
         delta = self.group.omega(self.group.lowest(w))
         acc = dict(self.num)  # running num * (-w)^k
         out: dict = {}

@@ -154,10 +154,10 @@ def _spec(raw: Mapping, field: str) -> Mapping:
 
 
 def _integer(field: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {field!r} must be an integer") from None
+    # int(value) would truncate 2.9 to 2 and read true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field {field!r} must be an integer")
+    return value
 
 
 def _size(field: str, value, least=1) -> int:

@@ -383,7 +383,7 @@ def test_product_and_quotient_match_the_full_gcd_route(seed, kind, shapes):
 
 
 def test_a_monomial_factor_takes_no_gcd(monkeypatch):
-    from sympy.polys.rings import PolyElement
+    from floermini import action
 
     G = SCALAR_GROUPS["dense"]()
     p = NovikovScalar.from_terms(G, {(0, 0): 2, (1, -1): -3, (2, 1): 1})
@@ -391,19 +391,141 @@ def test_a_monomial_factor_takes_no_gcd(monkeypatch):
     fraction = p / q
     monomials = [NovikovScalar.monomial(G, (1, -2), Fraction(-3, 2)), NovikovScalar.one(G)]
     calls = []
-    real = PolyElement.cofactors
-    monkeypatch.setattr(PolyElement, "cofactors", lambda f, g: calls.append(1) or real(f, g))
+    real = action._heu_gcd
+    monkeypatch.setattr(action, "_heu_gcd", lambda f, g: calls.append(1) or real(f, g))
+    fraction * fraction  # the spy sees the gcds of a genuine product
+    assert calls
+    calls.clear()
     results = []
     for m in monomials:
         results += [(fraction * m, "*"), (m * fraction, "*"), (m / fraction, "/")]
     assert calls == []
-    monkeypatch.setattr(PolyElement, "cofactors", real)
+    monkeypatch.setattr(action, "_heu_gcd", real)
     for (got, op), m in zip(results, [x for x in monomials for _ in range(3)]):
         if op == "*":
             ref = NovikovScalar(G, _mul(fraction.num, m.num), _mul(fraction.den, m.den))
         else:
             ref = NovikovScalar(G, _mul(m.num, fraction.den), _mul(m.den, fraction.num))
         _assert_same(got, ref)
+
+
+# -- the native gcd against sympy's ------------------------------------------
+
+
+def _laurent(draw, rank, terms, low=-3, high=3):
+    """A random integer Laurent polynomial {cap: int}; coefficients may be
+    negative anywhere, the leading one included."""
+    caps = st.tuples(*[st.integers(low, high)] * rank)
+    coeffs = st.integers(-9, 9).filter(bool)
+    return draw(st.dictionaries(caps, coeffs, min_size=terms, max_size=terms))
+
+
+def _int_mul(a: dict, b: dict) -> dict:
+    return {k: int(v) for k, v in _mul(a, b).items()}
+
+
+def _sympy_cancel(num: dict, den: dict, rank: int):
+    """_terms_cancel's contract computed with sympy's cofactors."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    R = ring(",".join(f"x{i}" for i in range(rank)), ZZ)[0]
+    lows = [tuple(map(min, zip(*t))) for t in (num, den)]
+    f, g = (R.from_dict({tuple(x - m for x, m in zip(c, low)): v for c, v in t.items()})
+            for t, low in zip((num, den), lows))
+    _, p, q = f.cofactors(g)
+    return tuple({tuple(x + m for x, m in zip(e, low)): int(v) for e, v in t.items()}
+                 for t, low in zip((p, q), lows))
+
+
+def _proportional(a: dict, b: dict) -> bool:
+    """a == lam * b for one nonzero rational lam."""
+    if a.keys() != b.keys():
+        return False
+    k = next(iter(a))
+    return all(v * b[k] == b[c] * a[k] for c, v in a.items())
+
+
+@settings(max_examples=300)
+@given(data=st.data(), rank=st.sampled_from([1, 2]), content=st.sampled_from([1, 1, 6, -4]))
+def test_native_gcd_matches_sympy_cofactors(data, rank, content):
+    """num = c r p, den = c r q for a Laurent factor r of one to three terms
+    and an integer c: _terms_cancel agrees with sympy's cofactors up to one
+    rational factor, and the native gcd times each cofactor gives back its
+    input exactly."""
+    from floermini import action
+
+    r = _laurent(data.draw, rank, data.draw(st.integers(1, 3)))
+    num = _int_mul(_laurent(data.draw, rank, data.draw(st.integers(1, 4))), r)
+    den = _int_mul(_laurent(data.draw, rank, data.draw(st.integers(1, 4))), r)
+    num = {c: v * content for c, v in num.items()}
+    den = {c: v * content for c, v in den.items()}
+    if len(num) < 2 or len(den) < 2:
+        return
+    got = action._terms_cancel(num, den, rank)
+    ref = _sympy_cancel(num, den, rank)
+    lam = None
+    for mine, theirs in zip(got, ref):
+        assert _proportional(mine, theirs)
+        k = next(iter(mine))
+        ratio = Fraction(mine[k], theirs[k])
+        assert lam is None or ratio == lam
+        lam = ratio
+    # the cofactors times the gcd are the shifted inputs, exactly
+    lows = [tuple(map(min, zip(*t))) for t in (num, den)]
+    f, g = (action._shift(t, low, -1) for t, low in zip((num, den), lows))
+    h, cff, cfg = action._heu_gcd(f, g)
+    assert _int_mul(h, cff) == f and _int_mul(h, cfg) == g
+    assert action._exact_quotient(f, h) == cff
+
+
+def test_an_unlucky_first_point_retries(monkeypatch):
+    """At xi = 3 the digits of gcd(f(3), g(3)) = 8 spell x**2 - 1, which
+    divides neither input; the next point finds the gcd x + 1."""
+    from floermini import action
+
+    f = {(0,): 5, (1,): 6, (2,): 1}  # (x + 1)(x + 5)
+    g = {(0,): 3, (1,): 4, (2,): 1}  # (x + 1)(x + 3)
+    points = []
+    real = action._eval_last
+    monkeypatch.setattr(action, "_heu_xi", lambda f, g: 3)
+    monkeypatch.setattr(action, "_eval_last", lambda p, x: points.append(x) or real(p, x))
+    h, cff, cfg = action._heu_gcd(f, g)
+    assert points[0] == points[1] == 3 and len(points) > 2
+    assert h == {(0,): 1, (1,): 1}
+    assert cff == {(0,): 5, (1,): 1} and cfg == {(0,): 3, (1,): 1}
+
+
+def test_a_non_divisor_has_no_exact_quotient():
+    from floermini import action
+
+    f = {(0, 0): 2, (1, 0): 1, (0, 1): -3, (2, 2): 4}
+    assert action._exact_quotient(f, {(0, 0): 1, (1, 0): 1}) is None
+    assert action._exact_quotient(f, {(0, 0): 3}) is None
+    h = {(0, 0): -2, (1, 1): 1}
+    assert action._exact_quotient(_int_mul(f, h), h) == f
+
+
+def test_spectral_layer_imports_no_sympy():
+    import os
+    import subprocess
+    import sys
+
+    import floermini
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(floermini.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, floermini.spectral\n"
+        "assert 'sympy' not in sys.modules, 'sympy loaded'\n"
+        "import floermini\n"
+        "assert floermini.MorseFunction1D.__module__ == 'floermini.morse'\n"
+        "assert sorted(floermini.__all__) == sorted(set(floermini.__all__))\n"
+        "assert all(hasattr(floermini, n) for n in floermini.__all__)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 # -- the integer cap order ----------------------------------------------------

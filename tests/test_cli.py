@@ -145,6 +145,11 @@ class TestRun:
                      id="hofer-sweep-string"),
         pytest.param(dict(FUNCTION_CFG, tasks=["hofer"], hofer_sweep=-1), [], "hofer_sweep",
                      id="hofer-sweep-negative"),
+        pytest.param(dict(FUNCTION_CFG, tasks=["hofer"], hofer_sweep=2.9), [], "hofer_sweep",
+                     id="hofer-sweep-float"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], eta_points=16.5)), [],
+                     "eta_points", id="eta-points-float"),
+        pytest.param(dict(FUNCTION_CFG, seed=True), [], "seed", id="seed-bool"),
     ])
     def test_malformed_values_end_in_a_structured_error(self, tmp_path, capsys, config, flags,
                                                         field):
