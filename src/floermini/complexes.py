@@ -205,10 +205,8 @@ class FilteredComplex:
                             f"entry {src}->{tgt} cap {cap} does not lower the level "
                             f"(drop {drop!r})"
                         )
-        for src in self.boundary:
-            dd = self.boundary_of(NovikovChain.unit(self.group, src))
-            dd = self.boundary_of(dd)
-            if not dd.is_zero():
+        for src, row in self.boundary.items():
+            if reduction.vec_apply(self.boundary, row):
                 raise ComplexStructureError(f"boundary does not square to zero at {src!r}")
 
     # -- basic accessors -----------------------------------------------------
@@ -261,22 +259,23 @@ class FilteredComplex:
         return reduction.vec_peaks(chain.coeffs, self.weight)
 
     def boundary_of(self, chain: NovikovChain) -> NovikovChain:
-        out: dict = {}
-        for src, u in chain.coeffs.items():
-            reduction.vec_axpy(out, u, self.boundary.get(src, {}))
-        return NovikovChain(self.group, out)
+        return NovikovChain(self.group, reduction.vec_apply(self.boundary, chain.coeffs))
 
     def is_cycle(self, chain: NovikovChain) -> bool:
         return self.boundary_of(chain).is_zero()
 
     # -- global quantities ----------------------------------------------------
 
-    def filtration_gap(self):
-        """Minimal level drop over all boundary contributions; +inf if d = 0."""
+    def filtration_gap(self, excluded=()):
+        """Minimal level drop over all boundary contributions; +inf if there
+        are none.  A connection between the orbits of a pair in `excluded`,
+        in either direction, does not count."""
         gap = POS_INFINITY
         for src, row in self.boundary.items():
             s_orb = self._by_id[src]
             for tgt, scalar in row.items():
+                if (src, tgt) in excluded or (tgt, src) in excluded:
+                    continue
                 t_orb = self._by_id[tgt]
                 drop = s_orb.level - t_orb.level + scalar.valuation()
                 if drop < gap:
@@ -292,10 +291,9 @@ class FilteredComplex:
         """The cached decomposition of d out of degree `degree`: its image
         basis lies in degree - 1, its kernel in degree."""
         if degree not in self._decompositions:
-            cols = []
-            for oid in self.orbit_ids(degree):
-                vec = self.boundary_of(NovikovChain.unit(self.group, oid)).coeffs
-                cols.append((vec, {oid: NovikovScalar.one(self.group)}))
+            one = NovikovScalar.one(self.group)
+            # orthogonalize copies its inputs, so the rows are passed as they are
+            cols = [(self.boundary.get(oid, {}), {oid: one}) for oid in self.orbit_ids(degree)]
             self._decompositions[degree] = reduction.Decomposition(cols, self.weight)
         return self._decompositions[degree]
 
@@ -384,7 +382,6 @@ class FilteredComplex:
         ]
         boundary: dict = {}
         for e in obj.get("boundary", []):
-            row = boundary.setdefault(e["from"], {})
-            s = NovikovScalar.from_json(group, e["scalar"])
-            row[e["to"]] = row[e["to"]] + s if e["to"] in row else s
+            reduction.vec_axpy(boundary.setdefault(e["from"], {}), None,
+                               {e["to"]: NovikovScalar.from_json(group, e["scalar"])})
         return FilteredComplex(group, orbits, boundary)

@@ -11,15 +11,12 @@ from .complexes import FilteredComplex
 from .errors import ConfigError
 from .morse import DEFAULT_GRID, MorseFunction1D
 
-KNOWN_TASKS = (
-    "rho",
-    "spectrum",
-    "diagram",
-    "continuation",
-    "rho_curve",
-    "hofer",
-    "validate",
-)
+KNOWN_TASKS = ("rho", "spectrum", "diagram", "continuation", "rho_curve", "hofer", "validate")
+
+# every top-level field a config may give; any other is a schema error
+KNOWN_FIELDS = ("tasks", "period_group", "seed", "grid", "eps", "classes", "out",
+                "ghost_translates", "hofer_sweep", "complex", "morse_function", "family")
+
 
 class RunConfig:
     """Validated run settings.  `eta_grid`, when given (the CLI's --grid),
@@ -29,6 +26,9 @@ class RunConfig:
         if not isinstance(raw, Mapping):
             raise ConfigError("config root must be a JSON object")
         self.raw = raw
+        for field in raw:
+            if field not in KNOWN_FIELDS:
+                raise ConfigError(f"unknown field {field!r}; known: {KNOWN_FIELDS}")
         if "tasks" not in raw:
             raise ConfigError("missing required field: tasks")
         tasks = raw["tasks"]

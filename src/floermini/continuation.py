@@ -7,6 +7,11 @@ slide contributes a transvection.  Every constructed map is checked
 against the chain-map identity exactly, and its level shifts are bounded
 by the negative variation of the family.
 
+Maps are stored, like a boundary, as columns {source: {target: scalar}}
+and applied by `reduction.vec_apply`; identities are checked per column.
+A composite entry's provenance joins the non-pairing tags of all its
+paths, so it does not depend on the order in which they are summed.
+
 A family is read only through the contract of `cerf.AbstractCerfFamily`,
 which closed-form, declared and concatenated families all give: `grid`,
 `chain_complex(i)`, `step(i, reverse)` (a declared-step dict with a
@@ -23,7 +28,7 @@ from .action import POS_INFINITY, ActionValue, NovikovScalar
 from .cerf import concat
 from .complexes import FilteredComplex, NovikovChain
 from .errors import ChainMapError, EventError, NotACycleError
-from .reduction import Decomposition, vec_axpy
+from .reduction import Decomposition, vec_apply, vec_axpy
 from .spectral import equal_level_corrections, rho
 
 __all__ = [
@@ -74,27 +79,25 @@ def variation_bounds(fam) -> VariationBounds:
 
 
 class _SparseMap:
-    """Sparse scalar matrix (target id, source id) -> NovikovScalar.
-
-    `entries` is fixed at construction; `apply` reads a per-source column
-    view of it that is built once.
+    """Sparse scalar matrix, given as entries (target id, source id) ->
+    NovikovScalar and stored as `columns`, {source id: {target id: scalar}},
+    the form of `FilteredComplex.boundary`.  `entries` is the flat view.
     """
 
     def __init__(self, source: FilteredComplex, target: FilteredComplex, entries=None):
         self.source = source
         self.target = target
-        self.entries = {k: v for k, v in (entries or {}).items() if not v.is_zero()}
-        self._columns: dict = {}
-        for (tgt, src), u in self.entries.items():
-            self._columns.setdefault(src, {})[tgt] = u
+        self.columns: dict = {}
+        for (tgt, src), u in (entries or {}).items():
+            if not u.is_zero():
+                self.columns.setdefault(src, {})[tgt] = u
+
+    @property
+    def entries(self) -> dict:
+        return {(t, s): u for s, col in self.columns.items() for t, u in col.items()}
 
     def apply(self, chain: NovikovChain) -> NovikovChain:
-        out: dict = {}
-        for src, c in chain.coeffs.items():
-            col = self._columns.get(src)
-            if col:
-                vec_axpy(out, c, col)
-        return NovikovChain(self.target.group, out)
+        return NovikovChain(self.target.group, vec_apply(self.columns, chain.coeffs))
 
 
 class ChainMap(_SparseMap):
@@ -112,72 +115,59 @@ class ChainMap(_SparseMap):
         return ChainMap(X, X, ent, {k: "pairing" for k in ent})
 
     def compose_after(self, first: "ChainMap") -> "ChainMap":
-        """self o first."""
-        by_src: dict = {}
-        for (m, s), u in first.entries.items():
-            by_src.setdefault(m, []).append((s, u))
+        """self o first.  An entry's provenance joins the non-pairing tags
+        of every path t <- m <- s through it, "pairing" if there are none."""
         ent: dict = {}
         prov: dict = {}
-        for (t, m), v in self.entries.items():
-            for s, u in by_src.get(m, []):
-                key = (t, s)
-                add = v * u
-                c = ent.get(key)
-                c = add if c is None else c + add
-                if c.is_zero():
-                    ent.pop(key, None)
-                    prov.pop(key, None)
-                else:
-                    ent[key] = c
-                    tags = {self.provenance.get((t, m)), first.provenance.get((m, s))}
-                    tags.discard(None)
-                    tags.discard("pairing")
-                    prov[key] = "+".join(sorted(tags)) if tags else "pairing"
+        for s, col in first.columns.items():
+            for t, c in vec_apply(self.columns, col).items():
+                ent[(t, s)] = c
+                tags = set()
+                for m in col:
+                    if t in self.columns.get(m, {}):
+                        tags.update((self.provenance.get((t, m)), first.provenance.get((m, s))))
+                tags -= {None, "pairing"}
+                prov[(t, s)] = "+".join(sorted(tags)) if tags else "pairing"
         return ChainMap(first.source, self.target, ent, prov)
 
     def verify(self):
-        """Exact chain-map identity; raises on failure (internal bug guard)."""
+        """Exact chain-map identity d f = f d, one source column at a time;
+        raises on failure (internal bug guard)."""
         for o in self.source.orbits:
-            x = NovikovChain.unit(self.source.group, o.id)
-            lhs = self.target.boundary_of(self.apply(x))
-            rhs = self.apply(self.source.boundary_of(x))
-            if not (lhs - rhs).is_zero():
+            lhs = vec_apply(self.target.boundary, self.columns.get(o.id, {}))
+            if lhs != vec_apply(self.columns, self.source.boundary.get(o.id, {})):
                 raise ChainMapError(f"chain-map identity fails at {o.id}")
         return True
 
     def entry_shift(self, key) -> ActionValue:
         """Level shift of one matrix entry: level(target lift) - level(source)."""
         tgt, src = key
-        u = self.entries[key]
+        u = self.columns[src][tgt]
         return (self.target.weight(tgt) - u.valuation()) - self.source.weight(src)
 
     def to_json(self) -> list:
-        out = []
-        for (t, s) in sorted(self.entries):
-            out.append({
-                "from": s,
-                "to": t,
-                "scalar": self.entries[(t, s)].to_json(),
-                "provenance": self.provenance.get((t, s), ""),
-            })
-        return out
+        ent = self.entries
+        return [
+            {"from": s, "to": t, "scalar": ent[(t, s)].to_json(),
+             "provenance": self.provenance.get((t, s), "")}
+            for (t, s) in sorted(ent)
+        ]
 
 
 class ChainHomotopy(_SparseMap):
     """Degree +1 correction with the total-variation level bound."""
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.columns
 
     def verify_identity(self, direct: ChainMap, composed: ChainMap):
-        """direct - composed == boundary o H + H o boundary, exactly."""
+        """direct == composed + boundary o H + H o boundary, exactly, one
+        source column at a time."""
         for o in self.source.orbits:
-            x = NovikovChain.unit(self.source.group, o.id)
-            lhs = direct.apply(x) - composed.apply(x)
-            rhs = self.target.boundary_of(self.apply(x)) + self.apply(
-                self.source.boundary_of(x)
-            )
-            if not (lhs - rhs).is_zero():
+            rhs = vec_apply(self.target.boundary, self.columns.get(o.id, {}))
+            vec_axpy(rhs, None, vec_apply(self.columns, self.source.boundary.get(o.id, {})))
+            vec_axpy(rhs, None, composed.columns.get(o.id, {}))
+            if rhs != direct.columns.get(o.id, {}):
                 raise ChainMapError(f"homotopy identity fails at {o.id}")
         return True
 
@@ -209,7 +199,7 @@ def _step_map(X, Y, st) -> ChainMap:
     ent, prov = {}, {}
 
     def add(key, c, tag):
-        ent[key] = ent[key] + c if key in ent else c
+        vec_axpy(ent, None, {key: c})
         prov[key] = tag
 
     for s, t in table.items():
@@ -279,11 +269,11 @@ def _hom_weight(X, Y):
 def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
     """Smallest-shift H with direct - composed = dH + Hd, exact."""
     X, Y = direct.source, direct.target
+    one = NovikovScalar.one(X.group)
     dvec: dict = {}
     for o in X.orbits:
-        x = NovikovChain.unit(X.group, o.id)
-        diff = direct.apply(x) - composed.apply(x)
-        for t, u in diff.coeffs.items():
+        diff = vec_axpy(dict(direct.columns.get(o.id, {})), -one, composed.columns.get(o.id, {}))
+        for t, u in diff.items():
             dvec[(t, o.id)] = u
     if not dvec:
         return ChainHomotopy(X, Y, {})
@@ -299,8 +289,7 @@ def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
         col = {(t2, s): c for t2, c in Y.boundary.get(t, {}).items()}
         # E_{t,s} o d_X: x contributes when d_X x hits s
         vec_axpy(col, None, {(t, src): row[s] for src, row in X.boundary.items() if s in row})
-        unit = NovikovScalar.one(X.group)
-        columns.append((col, {(t, s): unit}))
+        columns.append((col, {(t, s): one}))
     hvec = Decomposition(columns, _hom_weight(X, Y)).preimage(dvec)
     if hvec is None:
         raise ChainMapError("maps are not chain homotopic")
@@ -347,18 +336,6 @@ class EntryClassification:
         )
 
 
-def _min_drop(X, excluded) -> ActionValue:
-    best = POS_INFINITY
-    for src, row in X.boundary.items():
-        for tgt, scalar in row.items():
-            if (src, tgt) in excluded or (tgt, src) in excluded:
-                continue
-            drop = X.weight(src) - X.weight(tgt) + scalar.valuation()
-            if drop < best:
-                best = drop
-    return best
-
-
 def dichotomy_constant(fam) -> ActionValue:
     """Minimal positive boundary drop over the family's grid complexes.
 
@@ -370,7 +347,7 @@ def dichotomy_constant(fam) -> ActionValue:
     best = POS_INFINITY
     for i in range(len(fam.grid)):
         excluded = fam.cusp_pairs(i)
-        best = min(best, _min_drop(fam.chain_complex(i), excluded))
+        best = min(best, fam.chain_complex(i).filtration_gap(excluded))
     return best
 
 

@@ -25,6 +25,7 @@ from . import _kernels
 from .action import ActionValue, NovikovScalar, PeriodGroup, make_period_group
 from .complexes import FilteredComplex, NovikovChain, Orbit
 from .errors import ComplexStructureError, MorseError, PairingError
+from .reduction import vec_axpy
 from .spectral import _solve_rational, rho as engine_rho
 
 __all__ = [
@@ -439,9 +440,8 @@ def _circle_complex(f: MorseFunction1D, crit, eps, group) -> MorseComplexReport:
         row: dict = {}
         for j, wrap, coeff in ((i + 1, i + 1 == k, 1), (i - 1, -(i == 0), -1)):
             cap = (-int(wrap),) if group.rank else ()
-            tgt, s = f"c{j % k}", NovikovScalar.monomial(group, cap, coeff)
-            row[tgt] = row[tgt] + s if tgt in row else s
-        boundary[f"c{i}"] = row  # FilteredComplex drops zero entries
+            vec_axpy(row, None, {f"c{j % k}": NovikovScalar.monomial(group, cap, coeff)})
+        boundary[f"c{i}"] = row  # FilteredComplex drops an empty row
     X = FilteredComplex(group, orbits, boundary)
     return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
 

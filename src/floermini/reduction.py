@@ -13,8 +13,10 @@ spanned subspace.  Pivot ties break toward the smaller coordinate in the
 supplied order, which fixes the output for golden tests.
 
 `vec_axpy` (out += coef * v in place, zeros dropped) is the one
-accumulate primitive: chain sums, boundaries, chain-map applications and
-elimination steps all go through it.
+accumulate primitive: chain sums and elimination steps go through it.
+Every linear map (a boundary, a chain map, a chain homotopy) is stored in
+one column form, {source: {target: NovikovScalar}}, and `vec_apply` is
+the one sum over its columns.
 
 A `Decomposition` is the one elimination product of a linear map (after
 Usher-Zhang's singular value decomposition of Floer-Novikov complexes):
@@ -49,6 +51,19 @@ def vec_axpy(out: Vector, coef: NovikovScalar | None, v: Vector) -> Vector:
             out.pop(k, None)
         else:
             out[k] = s
+    return out
+
+
+def vec_apply(columns: dict, v: Vector) -> Vector:
+    """The map with these columns applied to v: sum of v[k] * columns[k].
+
+    A missing column is zero.  Neither argument is modified.
+    """
+    out: Vector = {}
+    for k, c in v.items():
+        col = columns.get(k)
+        if col:
+            vec_axpy(out, c, col)
     return out
 
 
@@ -154,11 +169,8 @@ def reduce_vector(v: Vector, reduced: list):
 
 def combination(coeffs: list, reduced: list, attr: str = "companion") -> Vector:
     """sum coeff_i * getattr(reduced_i, attr) skipping None coefficients."""
-    out: Vector = {}
-    for c, r in zip(coeffs, reduced):
-        if c is not None and not c.is_zero():
-            vec_axpy(out, c, getattr(r, attr))
-    return out
+    return vec_apply({i: getattr(r, attr) for i, r in enumerate(reduced)},
+                     {i: c for i, c in enumerate(coeffs) if c is not None})
 
 
 class Decomposition:

@@ -65,16 +65,31 @@ class TestRun:
         assert rep["tolerances"] == {"eta_event": 1e-6, "theta_refine": 1e-9,
                                      "value_quantum": "1e-12", "slope_check": 1e-8}
 
-    def test_config_tolerances_are_not_read(self, tmp_path):
-        """The report gives the tolerances the engine applies, not a
-        config's `tolerances` field."""
+    def test_config_tolerances_are_not_read(self, tmp_path, capsys):
+        """The report gives the tolerances the engine applies; a config's
+        `tolerances` field is refused as an unknown field."""
         from floermini import cerf
 
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(dict(FUNCTION_CFG, tolerances={"eta_event": 0.5})))
-        assert run(p, tmp_path / "out") == 0
+        assert run(p, tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "schema" and "'tolerances'" in err["message"]
+        assert not (tmp_path / "out").exists()
+        assert run(GOLDEN / "cgamma_rho.json", tmp_path / "out") == 0
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["tolerances"]["eta_event"] == cerf.ETA_TOLERANCE == 1e-6
+
+    def test_unknown_field_is_schema_error(self, tmp_path, capsys):
+        """A misspelt field fails the run instead of being ignored."""
+        raw = json.loads((GOLDEN / "hofer_cos.json").read_text())
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(raw, hofer_swep=5)))
+        assert run(p, tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "schema"
+        assert "'hofer_swep'" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_constant_family_diagram(self, tmp_path):
         code = run(GOLDEN / "constant_diagram.json", tmp_path)

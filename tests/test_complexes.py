@@ -11,7 +11,12 @@ from floermini.action import (
     make_period_group,
 )
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
-from floermini.errors import DegreeError, FiltrationError, NotACycleError
+from floermini.errors import (
+    ComplexStructureError,
+    DegreeError,
+    FiltrationError,
+    NotACycleError,
+)
 
 
 def sqrt2(scale=1):
@@ -98,6 +103,14 @@ class TestBoundary:
         orbits = [Orbit("a", 0, 1), Orbit("b", 0, 0)]
         with pytest.raises(FiltrationError):
             FilteredComplex(G, orbits, {"a": {"b": NovikovScalar.one(G)}})
+
+    def test_nonzero_square_rejected(self, trivial_group):
+        # a -> b -> c with unit entries: d(d a) = c
+        one = NovikovScalar.one(trivial_group)
+        orbits = [Orbit("a", 10, 2), Orbit("b", 5, 1), Orbit("c", 0, 0)]
+        with pytest.raises(ComplexStructureError,
+                           match="boundary does not square to zero at 'a'"):
+            FilteredComplex(trivial_group, orbits, {"a": {"b": one}, "b": {"c": one}})
 
     def test_boundary_drop_respects_gap(self, c3):
         gap = c3.filtration_gap()

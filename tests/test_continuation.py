@@ -37,6 +37,17 @@ def c3_complex(G):
     return FilteredComplex(G, orbits, boundary)
 
 
+def c3_identity_variant(X):
+    """The identity of c3 plus dG + Gd for a homotopy G of shift 1/2."""
+    G = X.group
+    one = NovikovScalar.one(G)
+    t = NovikovScalar.from_terms(G, {(): Fraction(1, 2)})
+    return ChainMap(
+        X, X,
+        {("x", "x"): one - t, ("y", "x"): t, ("y", "y"): one, ("w", "w"): one - t},
+    )
+
+
 def c3_slide_family(trivial_group, coeff=1):
     """C3 family with one declared slide of x over y."""
     G = trivial_group
@@ -228,16 +239,7 @@ class TestGlue:
         G = trivial_group
         X = c3_complex(G)
         ident = ChainMap.identity(X)
-        t = NovikovScalar.from_terms(G, {(): Fraction(1, 2)})
-        variant = ChainMap(
-            X, X,
-            {
-                ("x", "x"): NovikovScalar.one(G) - t,
-                ("y", "x"): t,
-                ("y", "y"): NovikovScalar.one(G),
-                ("w", "w"): NovikovScalar.one(G) - t,
-            },
-        )
+        variant = c3_identity_variant(X)
         variant.verify()
         H = solve_chain_homotopy(variant, ident)
         assert not H.is_zero()
@@ -252,6 +254,39 @@ class TestGlue:
         h = continuation_map(fam)
         with pytest.raises(Exception):
             glue_maps(h, h, fam, fam)
+
+
+class TestGuards:
+    def test_chain_map_with_a_dropped_entry_is_refused(self, trivial_group):
+        X = c3_complex(trivial_group)
+        entries = dict(ChainMap.identity(X).entries)
+        del entries[("y", "y")]  # d w = y - x now maps to -x, f w = w to y - x
+        with pytest.raises(ChainMapError, match="chain-map identity fails at w"):
+            ChainMap(X, X, entries).verify()
+
+    def test_zero_homotopy_between_distinct_maps_is_refused(self, trivial_group):
+        X = c3_complex(trivial_group)
+        with pytest.raises(ChainMapError, match="homotopy identity fails"):
+            ChainHomotopy(X, X, {}).verify_identity(c3_identity_variant(X),
+                                                   ChainMap.identity(X))
+
+    def test_composite_provenance_is_independent_of_path_order(self, trivial_group):
+        # (a, a) of second o first is reached by a <- a <- a (pairing only)
+        # and by a <- b <- a (through a slide): it is a slide either way
+        G = trivial_group
+        X = FilteredComplex(G, [Orbit("a", 0, 0), Orbit("b", 1, 0)], {})
+        one = NovikovScalar.one(G)
+        first = ChainMap(X, X, {("a", "a"): one, ("b", "a"): one},
+                         {("a", "a"): "pairing", ("b", "a"): "slide"})
+        keys = [("a", "a"), ("a", "b")]
+        composites = []
+        for order in (keys, keys[::-1]):
+            second = ChainMap(X, X, {k: one for k in order}, {k: "pairing" for k in order})
+            composites.append(second.compose_after(first))
+        for h in composites:
+            assert h.entries == {("a", "a"): one + one}
+            assert h.provenance[("a", "a")] == "slide"
+        assert composites[0].to_json() == composites[1].to_json()
 
 
 class TestDichotomy:
