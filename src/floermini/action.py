@@ -62,9 +62,6 @@ def _as_fraction(x) -> Fraction:
     raise ConstantClassError(f"not an exact rational: {x!r}")
 
 
-_ONE = Fraction(1)
-
-
 def _sign(x, y, d: int) -> int:
     """Exact sign of x + y*sqrt(d) for rationals (or integers) x, y and a
     non-square d: opposite signs are settled by comparing x^2 with y^2 d."""

@@ -19,8 +19,11 @@ evaluate the closed form per slice.  The family detects every slice it
 uses, `MorseCerfFamily.detect`: it scans each given slice and then
 bisects the critical cells of all of them together, one call of the
 exact f'(theta, eta) per round.  The grid slices are known before the
-walker runs and go in one batch; the endpoints, event bisection and
-pairing refinement ask for their slices through `detected_slice`.
+walker runs and go in one batch; the endpoints, event bisection, pairing
+refinement, crossing search and branch slopes ask for their slices
+through `detected_slice`, so every slice is bisected by `bisect_cells`
+at `THETA_TOLERANCE`.  A branch is read off a slice as its critical point
+of the branch's index nearest the tracked theta.
 
 Abstract families carry explicit complexes on the grid plus a declared
 event list; genericity has no combinatorial substitute, so undeclared
@@ -196,9 +199,10 @@ class MorseCerfFamily:
     # -- slices ------------------------------------------------------------
 
     def function_at(self, s: float) -> MorseFunction1D:
-        """Slice at slot s (cached): the walker, its event bisection, the
-        grid complexes and the crossing search share one slice per s.
-        A slice keeps its critical points and mean, never a sample grid."""
+        """Slice at slot s (cached), not yet detected: `detect` fills in
+        its critical points, and every reader takes it through
+        `detected_slice`, so all of them share one slice per s.  A slice
+        keeps its critical points and mean, never a sample grid."""
         s = float(s)
         if s not in self._slices:
             eta = self.root_eta(s)
@@ -532,14 +536,13 @@ class Cusp:
 
 
 class Crossing:
-    __slots__ = ("eta", "value", "branch_a", "branch_b", "transverse")
+    __slots__ = ("eta", "value", "branch_a", "branch_b")
 
-    def __init__(self, eta, value, branch_a, branch_b, transverse=True):
+    def __init__(self, eta, value, branch_a, branch_b):
         self.eta = eta
         self.value = value
         self.branch_a = branch_a
         self.branch_b = branch_b
-        self.transverse = transverse
 
     def __repr__(self):
         return f"Crossing(eta={self.eta:.6f}, value={self.value:.6f})"
@@ -589,13 +592,7 @@ def _morse_diagram(fam: MorseCerfFamily) -> CerfDiagram:
     except MorseError as e:
         raise NonCerfError(f"endpoint is degenerate: {e}") from None
 
-    def crit_list(eta):
-        try:
-            return fam.detected_slice(eta).critical_points()
-        except MorseError as e:
-            raise NonCerfError(f"degenerate slice at eta={eta}: {e}") from None
-
-    cur = crit_list(grid[0])
+    cur = _critical_points(fam, grid[0])
     branches = [Branch(f"b{j}", p.index) for j, p in enumerate(cur)]
     alive = dict(enumerate(branches))  # position in current crit list -> Branch
     cusps: list[Cusp] = []
@@ -603,7 +600,7 @@ def _morse_diagram(fam: MorseCerfFamily) -> CerfDiagram:
     _record(alive, cur, grid[0])
     tracks.append({b.id: f"c{j}" for j, b in alive.items()})
 
-    walker = _Walker(fam, branches, cusps, crit_list)
+    walker = _Walker(fam, branches, cusps)
     for i in range(len(grid) - 1):
         cur, alive = walker.advance(cur, alive, float(grid[i]), float(grid[i + 1]))
         _record(alive, cur, grid[i + 1])
@@ -624,6 +621,15 @@ def _morse_diagram(fam: MorseCerfFamily) -> CerfDiagram:
     )
 
 
+def _critical_points(fam: MorseCerfFamily, s: float) -> list:
+    """Critical points of the slice at slot s, read through `detected_slice`;
+    a slice without them makes the family non-Cerf."""
+    try:
+        return fam.detected_slice(s).critical_points()
+    except MorseError as e:
+        raise NonCerfError(f"degenerate slice at eta={s}: {e}") from None
+
+
 def _record(alive, crit, eta):
     for j, b in alive.items():
         p = crit[j]
@@ -636,18 +642,17 @@ class _Walker:
     """Tracks critical lists across an interval, localizing count changes
     by bisection and refining pure-motion pairing failures adaptively."""
 
-    def __init__(self, fam, branches, cusps, crit_list):
+    def __init__(self, fam, branches, cusps):
         self.fam = fam
         self.branches = branches
         self.cusps = cusps
-        self.crit_list = crit_list
 
     def advance(self, cur, alive, lo, hi, depth=0):
         if depth > 48:
             raise NonCerfError(
                 f"pairing ambiguity not resolvable by refinement near eta={lo}"
             )
-        nxt = self.crit_list(hi)
+        nxt = _critical_points(self.fam, hi)
         if len(nxt) == len(cur):
             try:
                 pairs = pair_critical_lists(cur, nxt).pairs
@@ -662,7 +667,7 @@ class _Walker:
 
     def _count(self, eta):
         try:
-            return len(self.crit_list(eta))
+            return len(_critical_points(self.fam, eta))
         except NonCerfError:
             return None
 
@@ -683,7 +688,7 @@ class _Walker:
                 b = mid
         eta_star = 0.5 * (a + b)
         cur, alive = self.advance(cur, alive, lo, a)  # pure motion below the event
-        c_a, c_b = cur, self.crit_list(b)
+        c_a, c_b = cur, _critical_points(self.fam, b)
         if len(c_b) == n_lo + 2:
             kind, rich, lean, rich_eta = "birth", c_b, c_a, b
         elif len(c_b) == n_lo - 2:
@@ -732,36 +737,21 @@ def _identify_new_pair(rich, lean):
     return tuple(pair)
 
 
-def _refine_theta(fam, eta, theta_guess, window):
-    """Track a critical point at parameter eta near theta_guess."""
-    f = fam.function_at(eta)
-    lo, hi = theta_guess - window, theta_guess + window
-    flo = float(f._fp(lo))
-    fhi = float(f._fp(hi))
-    if flo == 0.0:
-        return lo, f
-    if (flo > 0) == (fhi > 0):
-        raise EventError(f"lost the critical point near theta={theta_guess}")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fmid = float(f._fp(mid))
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), f
+def _branch_point(fam, branch: Branch, eta: float):
+    """The critical point of the branch's index on the detected slice at
+    eta nearest the branch's tracked theta, within TWO_PI / 64."""
+    theta0 = branch.theta_near(eta)
+    crit = [p for p in _critical_points(fam, eta) if p.index == branch.index]
+    p = min(crit, key=lambda p: _circle_distance(p.theta, theta0), default=None)
+    if p is None or _circle_distance(p.theta, theta0) > TWO_PI / 64:
+        raise EventError(f"lost the critical point near theta={theta0}")
+    return p
 
 
 def branch_value_at(fam, branch: Branch, eta: float) -> float:
     """Action level of a tracked branch at an off-grid parameter."""
-    theta0 = branch.theta_near(eta)
-    window = TWO_PI / 64
-    theta, f = _refine_theta(fam, eta, theta0, window)
-    mean = f.periodic_mean()
-    return -(float(f._f(theta)) - mean)
+    p = _branch_point(fam, branch, eta)
+    return -(p.raw_value - fam.detected_slice(eta).periodic_mean())
 
 
 def _detect_crossings(fam, branches, cusps):
@@ -776,12 +766,13 @@ def _detect_crossings(fam, branches, cusps):
             hi = min(a.etas[-1], b.etas[-1])
             if hi <= lo:
                 continue
-            etas = [e for e in a.etas if lo <= e <= hi]
-            diffs = []
-            for e in etas:
-                va = a.values[a.etas.index(e)] if e in a.etas else branch_value_at(fam, a, e)
-                vb = branch_value_at(fam, b, e) if e not in b.etas else b.values[b.etas.index(e)]
-                diffs.append(va - vb)
+            # every eta is recorded for all branches alive there, so b has a's
+            b_values = dict(zip(b.etas, b.values))
+            etas, diffs = [], []
+            for e, va in zip(a.etas, a.values):
+                if lo <= e <= hi:
+                    etas.append(e)
+                    diffs.append(va - b_values[e])
             for k in range(len(etas) - 1):
                 if diffs[k] == 0.0 or diffs[k] * diffs[k + 1] < 0:
                     elo, ehi = etas[k], etas[k + 1]
@@ -920,9 +911,7 @@ def branch_slope(d: CerfDiagram, branch_id, eta: float, side_hint=False) -> floa
         i = max(1, min(n - 2, i))
         lo, hi = i - 1, min(i + 1, n - 1)
         return (b.values[hi] - b.values[lo]) / (b.etas[hi] - b.etas[lo])
-    theta0 = b.theta_near(eta)
-    theta, _ = _refine_theta(fam, eta, theta0, TWO_PI / 64)
-    return -float(fam.eta_derivative_at(eta, theta))
+    return -float(fam.eta_derivative_at(eta, _branch_point(fam, b, eta).theta))
 
 
 def sub_family(fam, eta1: float, eta2: float):
@@ -1052,7 +1041,8 @@ def gamma_translate(d: CerfDiagram, cap) -> CerfDiagram:
         Cusp(c.eta, c.value + shift, c.branches, c.indices, c.kind) for c in d.cusps
     ]
     crossings = [
-        Crossing(c.eta, c.value + shift, c.branch_a, c.branch_b, c.transverse)
-        for c in d.crossings
+        Crossing(c.eta, c.value + shift, c.branch_a, c.branch_b) for c in d.crossings
     ]
-    return CerfDiagram(branches, cusps, crossings, d.group, dict(d.metadata), d.family)
+    # the deck action shifts levels, not orbit ids: the tracks carry over
+    return CerfDiagram(branches, cusps, crossings, d.group, dict(d.metadata), d.family,
+                       d.tracks)

@@ -1,9 +1,9 @@
 """Configuration-driven runner and artifact writer.
 
 Exit codes: 0 success, 2 validation failure (non-generic family and the
-like), 1 configuration or engine error; failures emit a structured JSON
-object on standard error.  Re-running a config produces byte-identical
-artifacts.
+like), 1 configuration, engine or output error; failures emit a
+structured JSON object on standard error.  Re-running a config produces
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
     except json.JSONDecodeError as e:
         _error("bad-json", str(e))
         return 1
-    if seed is not None:
+    if seed is not None and isinstance(raw, dict):  # RunConfig refuses any other root
         raw["seed"] = seed
     try:
         cfg = RunConfig(raw, eta_grid=grid)
@@ -313,27 +313,30 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
         return 1
 
     out = Path(out_dir or cfg.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     runner = Runner(cfg, out)
     try:
-        runner.run_tasks()
-    except (NonCerfError, ValidationFailure) as e:
-        _error("validation", str(e))
-        runner.report["validation_error"] = str(e)
-        runner.exit_code = 2
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            runner.run_tasks()
+        except (NonCerfError, ValidationFailure) as e:
+            _error("validation", str(e))
+            runner.report["validation_error"] = str(e)
+            runner.exit_code = 2
+        report = {
+            "engine_version": __version__,
+            "config_hash": hashlib.sha256(raw_bytes).hexdigest(),
+            "grid": {"theta": cfg.theta_grid, "eta": runner.eta_grid()},
+            "seed": cfg.seed,
+            "tolerances": TOLERANCES,
+            "results": runner.report,
+        }
+        _write(out / "report.json", _json_bytes(report))
     except FloerminiError as e:  # a ConfigError here comes from a task's input
         _error("schema" if isinstance(e, ConfigError) else "engine", str(e))
         return 1
-
-    report = {
-        "engine_version": __version__,
-        "config_hash": hashlib.sha256(raw_bytes).hexdigest(),
-        "grid": {"theta": cfg.theta_grid, "eta": runner.eta_grid()},
-        "seed": cfg.seed,
-        "tolerances": TOLERANCES,
-        "results": runner.report,
-    }
-    _write(out / "report.json", _json_bytes(report))
+    except OSError as e:  # the output directory or an artifact cannot be written
+        _error("output", str(e))
+        return 1
     return runner.exit_code
 
 

@@ -313,11 +313,11 @@ class FilteredComplex:
                 for cyc in self.decomposition(k).kernel:
                     res, _ = reduce_vector(cyc, boundaries)
                     if res:
-                        reps.append((res, res))
+                        reps.append((res, {}))
                 independent, _ = orthogonalize(reps, self.weight)
                 for i, r in enumerate(independent):
                     classes.append(
-                        HomologyClass(f"h{k}_{i}", k, NovikovChain(self.group, r.companion))
+                        HomologyClass(f"h{k}_{i}", k, NovikovChain(self.group, r.vec))
                     )
             self._homology_cache = classes
         return self._homology_cache

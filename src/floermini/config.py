@@ -55,6 +55,8 @@ class RunConfig:
         ):
             raise ConfigError("field 'classes' must be \"all\" or a non-empty list of names")
         self.out = raw.get("out")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("field 'out' must be a directory path")
         self.ghost_translates = _integer("ghost_translates", raw.get("ghost_translates", 0))
         self.hofer_sweep = _size("hofer_sweep", raw.get("hofer_sweep", 0), least=0)
 

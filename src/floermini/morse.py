@@ -378,14 +378,12 @@ class MorseFunction1D:
 
 
 class MorseComplexReport:
-    """Built complex plus provenance: critical points, group data, tolerances."""
+    """Built complex plus provenance: critical points and group data."""
 
-    def __init__(self, complex: FilteredComplex, critical_points, eps, group, tolerances):
+    def __init__(self, complex: FilteredComplex, critical_points, group):
         self.complex = complex
         self.critical_points = critical_points
-        self.eps = eps
         self.group = group
-        self.tolerances = tolerances
 
     def orbit_of(self, i: int) -> str:
         return f"c{i}"
@@ -415,16 +413,7 @@ class MorseComplexReport:
         raise MorseError(f"unknown class {name!r}")
 
 
-def _tolerances(N):
-    return {
-        "grid": N,
-        "theta_refine": THETA_TOLERANCE,
-        "value_quantum": f"1/{VALUE_QUANTUM}",
-        "curvature_margin": f"2/{N}",
-    }
-
-
-def _circle_complex(f: MorseFunction1D, crit, eps, group) -> MorseComplexReport:
+def _circle_complex(crit, eps, group) -> MorseComplexReport:
     """Generators are the critical points at level -eps*f(p); an index-1
     generator sends +1 to its counterclockwise index-0 neighbor and -1 to
     the clockwise one.  On a rank-1 group a step that wraps past the domain
@@ -443,7 +432,7 @@ def _circle_complex(f: MorseFunction1D, crit, eps, group) -> MorseComplexReport:
             vec_axpy(row, None, {f"c{j % k}": NovikovScalar.monomial(group, cap, coeff)})
         boundary[f"c{i}"] = row  # FilteredComplex drops an empty row
     X = FilteredComplex(group, orbits, boundary)
-    return MorseComplexReport(X, crit, eps, group, _tolerances(f.N))
+    return MorseComplexReport(X, crit, group)
 
 
 def build_s1_morse(f: MorseFunction1D, eps=1) -> MorseComplexReport:
@@ -453,7 +442,7 @@ def build_s1_morse(f: MorseFunction1D, eps=1) -> MorseComplexReport:
         raise MorseError("eps must be positive")
     if f.drift != 0:
         raise MorseError("drift requires build_circle_valued")
-    return _circle_complex(f, f.critical_points(), eps, make_period_group([], []))
+    return _circle_complex(f.critical_points(), eps, make_period_group([], []))
 
 
 def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
@@ -474,7 +463,7 @@ def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
         if "no critical points" not in str(e):
             raise
         crit = []
-    return _circle_complex(f, crit, eps, group)
+    return _circle_complex(crit, eps, group)
 
 
 class Pairing:

@@ -190,7 +190,7 @@ class Decomposition:
 
     @cached_property
     def kernel_basis(self) -> list:
-        basis, _ = orthogonalize([(k, k) for k in self.kernel], self.weight)
+        basis, _ = orthogonalize([(k, {}) for k in self.kernel], self.weight)
         return basis
 
     def some_preimage(self, target: Vector):

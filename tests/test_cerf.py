@@ -267,6 +267,14 @@ class TestGammaTranslate:
         ):
             assert a.id == b.id and a.values == b.values
 
+    def test_translate_keeps_tracks(self):
+        """The deck action shifts levels, not orbit ids: a translated
+        diagram tracks its branches through the same orbits."""
+        fam, G = self._abstract()
+        d = bifurcation_diagram(fam)
+        assert d.tracks == [{"b_x": "x", "b_y": "y"}] * 2
+        assert gamma_translate(d, (1,)).tracks == d.tracks
+
 
 # -- the eta-expansion against the exact callables ----------------------------
 

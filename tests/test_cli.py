@@ -114,6 +114,34 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "missing-file"
 
+    def test_seed_flag_on_a_non_object_root_is_schema_error(self, tmp_path, capsys):
+        """--seed leaves the root as it is, so an array root is refused as
+        it is without the flag."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps([FUNCTION_CFG]))
+        for flags in ([], ["--seed", "3"]):
+            assert main(["run", str(p), "--out", str(tmp_path / "out")] + flags) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1  # one JSON line, no traceback
+            assert json.loads(lines[0]) == {"error": "schema",
+                                            "message": "config root must be a JSON object"}
+
+    @pytest.mark.parametrize("blocked", ["out", "out/report.json"])
+    def test_unwritable_output_is_an_output_error(self, tmp_path, capsys, blocked):
+        """--out naming a regular file, or an artifact path taken by a
+        directory, exits 1 with an "output" error."""
+        out = tmp_path / "out"
+        if blocked == "out":
+            out.write_text("not a directory")
+        else:
+            (tmp_path / blocked).mkdir(parents=True)
+        assert main(["run", str(GOLDEN / "cgamma_rho.json"), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "output"
+        assert str(tmp_path / blocked) in err["message"]
+
     @pytest.mark.parametrize("config", [FUNCTION_CFG, FAMILY_CFG])
     def test_malformed_value_bases_run(self, tmp_path, config):
         p = tmp_path / "cfg.json"
@@ -165,6 +193,7 @@ class TestRun:
         pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], eta_points=16.5)), [],
                      "eta_points", id="eta-points-float"),
         pytest.param(dict(FUNCTION_CFG, seed=True), [], "seed", id="seed-bool"),
+        pytest.param(dict(FUNCTION_CFG, out=5), [], "out", id="out-number"),
     ])
     def test_malformed_values_end_in_a_structured_error(self, tmp_path, capsys, config, flags,
                                                         field):
@@ -381,7 +410,9 @@ class TestRun:
 
     def test_one_scan_per_slice(self, tmp_path, monkeypatch):
         """One run builds the diagram and the step maps once, and scans each
-        distinct slice at most once, a slice that fails detection included."""
+        slice it creates exactly once, a slice that fails detection
+        included: the crossing search and the slopes of the two-event
+        family read the family's detected slices too."""
         import sys
 
         from floermini import cerf, continuation
@@ -420,20 +451,26 @@ class TestRun:
         count_everywhere("step_maps", continuation.step_maps)
         monkeypatch.setattr(MorseFunction1D, "_scan", counted_scan)
         monkeypatch.setattr(cerf.MorseCerfFamily, "function_at", recorded_function_at)
-        cfg = {
-            "family": {"kind": "closed_form",
-                       "expr": "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)",
-                       "eta_points": 17, "theta_points": 4096},
-            "tasks": ["diagram", "rho_curve", "continuation"],
-            "classes": ["point"],
-        }
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        assert run(p, tmp_path / "out") == 0
-        assert calls["diagram"] == 1
-        assert calls["step_maps"] == 1
-        assert set(scans.values()) == {1}
-        assert 17 <= len(scans) <= len(slots)
+        # a birth cusp; a birth cusp and a crossing (acceptance 07)
+        for name, eta_points in (("birth_death", 17), ("two_event", 33)):
+            calls.update(diagram=0, step_maps=0)
+            slots.clear()
+            scans.clear()
+            cfg = {
+                "family": {"kind": "closed_form", "expr": CERF_CLI_FAMILIES[name],
+                           "eta_points": eta_points, "theta_points": 4096},
+                "tasks": ["diagram", "rho_curve", "continuation"],
+                "classes": ["point"],
+            }
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(cfg))
+            assert run(p, tmp_path / name) == 0
+            if name == "two_event":
+                events = (tmp_path / name / "events.csv").read_text()
+                assert events.count("crossing,") == 1
+            assert calls == {"diagram": 1, "step_maps": 1}
+            assert set(scans.values()) == {1}
+            assert len(scans) == len(slots) >= eta_points
 
     def test_family_slices_never_detect_on_their_own(self, tmp_path, monkeypatch):
         """`floermini run` detects every slice of a closed-form family
