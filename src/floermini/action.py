@@ -227,10 +227,6 @@ class ActionValue:
 
     __rmul__ = __mul__
 
-    def scaled(self, c) -> "ActionValue":
-        c = _as_fraction(c)
-        return ActionValue._make(self.q * c, self.r * c, self.d)
-
     # -- ordering ----------------------------------------------------------
 
     def sign(self) -> int:

@@ -70,6 +70,7 @@ class Runner:
         self.report: dict = {}
         self.exit_code = 0
         self._family = None
+        self._function = None
 
     # -- shared inputs -------------------------------------------------------
 
@@ -78,11 +79,22 @@ class Runner:
             self._family = self.cfg.build_family()
         return self._family
 
+    def function(self):
+        if self._function is None:
+            self._function = self.cfg.build_function()
+        return self._function
+
     def eta_grid(self) -> int:
         """Eta points of the family the run used, else the configured grid."""
         if self._family is not None:
             return len(self._family.grid)
         return self.cfg.eta_grid
+
+    def theta_grid(self) -> int:
+        """Theta points of the family or function the run used, else the configured grid."""
+        if self._function is not None:
+            return self._function.N
+        return getattr(self._family, "theta_points", self.cfg.theta_grid)
 
     def diagram(self):
         return self.family().diagram()  # cached by the family
@@ -92,7 +104,7 @@ class Runner:
         if kind == "complex":
             return self.cfg.build_complex()
         if kind == "morse_function":
-            f = self.cfg.build_function()
+            f = self.function()
             if f.drift != 0:
                 return build_circle_valued(f, self.cfg.eps).complex
             return build_s1_morse(f, self.cfg.eps).complex
@@ -220,8 +232,7 @@ class Runner:
         }
 
     def task_hofer(self):
-        f = self.cfg.build_function()
-        rep = hofer_gamma(f, self.cfg.eps)
+        rep = hofer_gamma(self.function(), self.cfg.eps)
         self.report["hofer"] = rep.to_json()
         if self.cfg.hofer_sweep:
             self._hofer_sweep(self.cfg.hofer_sweep)
@@ -279,9 +290,7 @@ class Runner:
             except NonCerfError as e:
                 violations.append(str(e))
         elif self.cfg.source_kind:
-            X = self.source_complex()
-            gap = X.filtration_gap()
-            violations += [] if gap > ActionValue.rational(0) else ["nonpositive gap"]
+            self.source_complex()  # FilteredComplex refuses every nonpositive drop
         self.report["validate"] = {"violations": violations, "ok": not violations}
         if violations:
             self.exit_code = 2
@@ -325,7 +334,7 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
         report = {
             "engine_version": __version__,
             "config_hash": hashlib.sha256(raw_bytes).hexdigest(),
-            "grid": {"theta": cfg.theta_grid, "eta": runner.eta_grid()},
+            "grid": {"theta": runner.theta_grid(), "eta": runner.eta_grid()},
             "seed": cfg.seed,
             "tolerances": TOLERANCES,
             "results": runner.report,

@@ -26,7 +26,6 @@ from .errors import (
     NotACycleError,
 )
 from . import reduction
-from .reduction import orthogonalize, reduce_vector
 
 __all__ = [
     "Orbit",
@@ -294,7 +293,8 @@ class FilteredComplex:
             one = NovikovScalar.one(self.group)
             # orthogonalize copies its inputs, so the rows are passed as they are
             cols = [(self.boundary.get(oid, {}), {oid: one}) for oid in self.orbit_ids(degree)]
-            self._decompositions[degree] = reduction.Decomposition(cols, self.weight)
+            self._decompositions[degree] = reduction.Decomposition(
+                cols, self.weight, lambda: self.boundary_basis(degree))
         return self._decompositions[degree]
 
     def boundary_basis(self, degree: int):
@@ -304,22 +304,15 @@ class FilteredComplex:
     # -- homology ------------------------------------------------------------
 
     def homology_basis(self) -> list:
-        """Classes per degree with explicit representative cycles."""
+        """Classes per degree with explicit representative cycles: the
+        kernel basis of d out of each degree past its boundary basis."""
         if self._homology_cache is None:
-            classes = []
-            for k in self.degrees():
-                boundaries = self.boundary_basis(k)
-                reps = []
-                for cyc in self.decomposition(k).kernel:
-                    res, _ = reduce_vector(cyc, boundaries)
-                    if res:
-                        reps.append((res, {}))
-                independent, _ = orthogonalize(reps, self.weight)
-                for i, r in enumerate(independent):
-                    classes.append(
-                        HomologyClass(f"h{k}_{i}", k, NovikovChain(self.group, r.vec))
-                    )
-            self._homology_cache = classes
+            self._homology_cache = [
+                HomologyClass(f"h{k}_{i}", k, NovikovChain(self.group, r.vec))
+                for k in self.degrees()
+                for i, r in enumerate(
+                    self.decomposition(k).kernel_basis[len(self.boundary_basis(k)):])
+            ]
         return self._homology_cache
 
     def homology_class(self, class_id: str) -> HomologyClass:

@@ -24,7 +24,7 @@ from mpmath.libmp import prec_to_dps as mpf_prec_to_dps, to_str as mpf_to_str
 from . import _kernels
 from .action import ActionValue, NovikovScalar, PeriodGroup, make_period_group
 from .complexes import FilteredComplex, NovikovChain, Orbit
-from .errors import ComplexStructureError, MorseError, PairingError
+from .errors import ComplexStructureError, FiltrationError, MorseError, PairingError
 from .reduction import vec_axpy
 from .spectral import _solve_rational, rho as engine_rho
 
@@ -303,9 +303,6 @@ class MorseFunction1D:
 
     # -- evaluation -------------------------------------------------------------
 
-    def values(self, thetas) -> np.ndarray:
-        return self._f(np.asarray(thetas, dtype=float))
-
     def grid(self) -> np.ndarray:
         return np.arange(self.N) * (TWO_PI / self.N)
 
@@ -413,12 +410,12 @@ class MorseComplexReport:
         raise MorseError(f"unknown class {name!r}")
 
 
-def _circle_complex(crit, eps, group) -> MorseComplexReport:
+def _circle_complex(f, crit, eps, group) -> MorseComplexReport:
     """Generators are the critical points at level -eps*f(p); an index-1
     generator sends +1 to its counterclockwise index-0 neighbor and -1 to
     the clockwise one.  On a rank-1 group a step that wraps past the domain
     end (wrap = +-1) carries the deck cap (-wrap,): its level shifts by
-    +-omega."""
+    +-omega.  An entry that does not lower the level means f's grid is too coarse."""
     orbits = [Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index)
               for i, p in enumerate(crit)]
     k = len(crit)
@@ -431,7 +428,17 @@ def _circle_complex(crit, eps, group) -> MorseComplexReport:
             cap = (-int(wrap),) if group.rank else ()
             vec_axpy(row, None, {f"c{j % k}": NovikovScalar.monomial(group, cap, coeff)})
         boundary[f"c{i}"] = row  # FilteredComplex drops an empty row
-    X = FilteredComplex(group, orbits, boundary)
+    try:
+        X = FilteredComplex(group, orbits, boundary)
+    except FiltrationError:  # the entry's drop is eps * (value_j - value_i - wrap * drift)
+        i, j = next((i, j % k) for i, p in enumerate(crit) if p.index == 1
+                    for j, wrap in ((i + 1, i + 1 == k), (i - 1, -(i == 0)))
+                    if crit[j % k].value - p.value <= wrap * f.drift)
+        p, q = crit[i], crit[j]
+        raise MorseError(
+            f"critical points c{i} (theta={p.theta:.9f}, value {p.value}) and c{j} "
+            f"(theta={q.theta:.9f}, value {q.value}) do not lower the level on a "
+            f"{f.N}-point grid: the grid is too coarse") from None
     return MorseComplexReport(X, crit, group)
 
 
@@ -442,7 +449,7 @@ def build_s1_morse(f: MorseFunction1D, eps=1) -> MorseComplexReport:
         raise MorseError("eps must be positive")
     if f.drift != 0:
         raise MorseError("drift requires build_circle_valued")
-    return _circle_complex(f.critical_points(), eps, make_period_group([], []))
+    return _circle_complex(f, f.critical_points(), eps, make_period_group([], []))
 
 
 def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
@@ -463,7 +470,7 @@ def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
         if "no critical points" not in str(e):
             raise
         crit = []
-    return _circle_complex(crit, eps, group)
+    return _circle_complex(f, crit, eps, group)
 
 
 class Pairing:

@@ -9,8 +9,8 @@ realizing its vector's level.  Such a family is level-orthogonal:
     level(sum c_i t_i) = max_i level(c_i t_i)
 
 so greedy pivot elimination against it computes exact distances to the
-spanned subspace.  Pivot ties break toward the smaller coordinate in the
-supplied order, which fixes the output for golden tests.
+spanned subspace.  Pivot ties break toward the smaller coordinate, which
+fixes the output for golden tests.
 
 `vec_axpy` (out += coef * v in place, zeros dropped) is the one
 accumulate primitive: chain sums and elimination steps go through it.
@@ -108,21 +108,17 @@ class Reduced:
         self.companion = companion
 
 
-def _peak_pivot(v: Vector, weight, order):
+def _peak_pivot(v: Vector, weight):
     lvl = None
     best = None
     for k, s in v.items():
         l = weight(k) - s.valuation()
-        if lvl is None or l > lvl or (l == lvl and order(k) < order(best)):
+        if lvl is None or l > lvl or (l == lvl and k < best):
             lvl, best = l, k
     return best
 
 
-def orthogonalize(
-    columns: Iterable[tuple],
-    weight,
-    order=lambda k: k,
-):
+def orthogonalize(columns: Iterable[tuple], weight):
     """Triangularize columns; returns (reduced list, kernel companions).
 
     `columns` yields (vector, companion) pairs; identical row operations
@@ -144,7 +140,7 @@ def orthogonalize(
             if comp:
                 kernel.append(comp)
             continue
-        reduced.append(Reduced(_peak_pivot(vec, weight, order), vec, comp))
+        reduced.append(Reduced(_peak_pivot(vec, weight), vec, comp))
     return reduced, kernel
 
 
@@ -180,17 +176,22 @@ class Decomposition:
     `image` is the level-orthogonal basis of the image, each vector with
     the preimage that the row operations tracked (its companion), and
     `kernel` holds the raw relations among the columns, in input order.
-    `kernel_basis`, their level-orthogonal basis, and the largest finite
-    bar are computed on first use.
+    `kernel_basis` is one elimination of `boundaries()`, the image basis of
+    the map into d's source, which comes back unchanged, then of `kernel`:
+    past the boundaries it holds the homology representatives.  It and the
+    largest finite bar are computed on first use.
     """
 
-    def __init__(self, columns: Iterable[tuple], weight):
+    def __init__(self, columns: Iterable[tuple], weight, boundaries=list):
         self.weight = weight
         self.image, self.kernel = orthogonalize(columns, weight)
+        self._boundaries = boundaries
 
     @cached_property
     def kernel_basis(self) -> list:
-        basis, _ = orthogonalize([(k, {}) for k in self.kernel], self.weight)
+        # each boundary vector already vanishes at the earlier pivots
+        cols = [(r.vec, {}) for r in self._boundaries()] + [(k, {}) for k in self.kernel]
+        basis, _ = orthogonalize(cols, self.weight)
         return basis
 
     def some_preimage(self, target: Vector):
@@ -214,11 +215,5 @@ class Decomposition:
     def largest_bar(self):
         """max over the image basis of level(minimal preimage) - level(vec),
         which bounds the overhead of every solve; -inf for a zero image."""
-        worst = NEG_INFINITY
-        for r in self.image:
-            gap = vec_level(self.minimal(r.companion), self.weight) - vec_level(
-                r.vec, self.weight
-            )
-            if gap > worst:
-                worst = gap
-        return worst
+        return max((vec_level(self.minimal(r.companion), self.weight)
+                    - vec_level(r.vec, self.weight) for r in self.image), default=NEG_INFINITY)

@@ -116,7 +116,7 @@ def render_diagram_svg(diagram, ghost_translates=0) -> str:
         period = float(diagram.group.omega(tuple([1] + [0] * (diagram.group.rank - 1))))
         for k in range(1, ghost_translates + 1):
             shifts += [k * period, -k * period]
-            ys += [y + k * period for y in ys] + [y - k * period for y in ys]
+    ys = [y - shift for shift in shifts for y in ys]  # each ghost shifts the drawn values once
     cv = _Canvas(*_bounds(xs, ys))
     cv.axes("eta", "action")
     for si, shift in enumerate(shifts):

@@ -149,12 +149,8 @@ def boundary_overhead_constant(X: FilteredComplex):
     maps, each the worst overhead of a minimal preimage over its
     level-orthogonal image basis, which bounds every solve.
     """
-    worst = NEG_INFINITY
-    for deg in X.degrees():
-        bar = X.decomposition(deg + 1).largest_bar
-        if bar > worst:
-            worst = bar
-    return worst
+    return max((X.decomposition(deg + 1).largest_bar for deg in X.degrees()),
+               default=NEG_INFINITY)
 
 
 def _slice_coordinates(X: FilteredComplex, degree: int, value):

@@ -493,6 +493,63 @@ class TestRun:
             }))
             assert main(["run", str(p), "--out", str(tmp_path / name)]) == 0
 
+    @pytest.mark.parametrize("cfg,theta", [
+        ({"family": {"kind": "closed_form", "expr": "cos(theta)", "eta_points": 3,
+                     "theta_points": 4096}, "tasks": ["diagram"]}, 4096),
+        ({"morse_function": dict(COS, grid=1024), "tasks": ["rho"]}, 1024),
+    ], ids=["family-theta-points", "function-grid"])
+    def test_report_records_the_theta_grid_used(self, tmp_path, cfg, theta):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["grid"]["theta"] == theta
+        if "diagram" in rep["results"]:
+            assert rep["results"]["diagram"]["metadata"]["theta_points"] == theta
+
+    def test_undersampled_function_names_the_critical_points(self, tmp_path, capsys):
+        cfg = {"morse_function": {"kind": "closed_form", "expr": "cos(1000*theta)",
+                                  "grid": 1024}, "tasks": ["rho"]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "engine"
+        assert err["message"].startswith("critical points c0 (theta=0.000000000, value 1)"
+                                         " and c1 (theta=")
+        assert "value 1) do not lower the level on a 1024-point grid" in err["message"]
+
+    def test_lost_crossing_branch_is_a_validation_error(self, tmp_path, capsys):
+        family = {"kind": "closed_form", "expr": "cos(2*theta + 4*eta) + 1/5*cos(theta)",
+                  "eta_points": 9, "theta_points": 2048}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"family": family, "tasks": ["diagram"]}))
+        assert run(p, tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert err["message"].startswith("crossing search of branches b0 and b2 at eta=")
+        assert "lost the critical point near theta=" in err["message"]
+        assert err["message"].endswith("; refine the eta grid")
+
+    def test_declared_birth_is_one_cusp_in_events_csv(self, tmp_path):
+        x = {"id": "x", "level": {"q": "0"}, "index": 0}
+        born = {"orbits": [x, {"id": "p", "level": {"q": "2"}, "index": 1},
+                           {"id": "m", "level": {"q": "1"}, "index": 0}],
+                "boundary": [{"from": "p", "to": "m", "scalar": [{"cap": [], "coeff": "1"}]}]}
+        step = {"type": "birth", "plus": "p", "minus": "m", "eta": 0.5, "value": 1.5}
+        cfg = {"family": {"kind": "abstract", "complexes": [{"orbits": [x]}, born],
+                          "steps": [step]},
+               "tasks": ["diagram"]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(p, tmp_path / "out") == 0
+        diagram = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["diagram"]
+        assert (diagram["cusps"], diagram["valid"]) == (1, True)
+        assert (tmp_path / "out" / "events.csv").read_text().splitlines() == [
+            "type,eta,value,branch_a,branch_b",
+            "cusp:birth,0.5,1.5,b_p,b_m",
+        ]
+
     def test_ghost_translates_render_dashed(self, tmp_path):
         cfg = {
             "period_group": {"generators": [{"rational": "1/2"}], "c1": [0]},
@@ -582,6 +639,21 @@ class TestRendering:
         assert svg.rstrip().endswith("</svg>")
         assert "eta" in svg and "action" in svg
         assert "polyline" not in svg
+
+    def test_ghost_translates_shift_only_the_original_values(self):
+        from floermini.action import ActionValue, make_period_group
+        from floermini.cerf import Branch, CerfDiagram
+        from floermini.render import render_diagram_svg
+
+        b = Branch("b0", 0)
+        b.etas, b.values = [0.0, 1.0], [0.0, 0.5]
+        d = CerfDiagram([b], [], [], make_period_group([ActionValue(1)], [0]), {})
+        svg = render_diagram_svg(d, ghost_translates=2)
+        # the drawing spans -2 .. 2.5; the axis adds 5% of that on each side
+        ticks = [float(line.split(">")[1].split("<")[0]) for line in svg.splitlines()
+                 if 'text-anchor="end"' in line]
+        assert (min(ticks), max(ticks)) == (-2.225, 2.725)
+        assert svg.count("<polyline") == 5
 
     def test_constant_diagram_two_polylines(self, tmp_path):
         run(GOLDEN / "constant_diagram.json", tmp_path)

@@ -120,6 +120,13 @@ class TestContinuationMap:
         h.verify()
         assert h.provenance[("y", "x")] == "slide"
 
+    def test_reversed_slide_inverts_the_transvection(self, trivial_group):
+        fam, X, Xp = c3_slide_family(trivial_group)
+        back = step_maps(fam, reverse=True)[0].compose_after(step_maps(fam)[0])
+        assert back.entries == ChainMap.identity(X).entries
+        (st,) = sub_family(fam, 1, 0).steps
+        assert st["type"] == "slide" and st["invert"] is True
+
     def test_birth_death_endpoint_homology(self):
         fam = MorseCerfFamily(BD_FAMILY, eta_points=33)
         h = continuation_map(fam)
