@@ -9,17 +9,32 @@ from __future__ import annotations
 import numpy as np
 
 
+def _zero_as_crossing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a with each exact zero replaced by -b: a grid point exactly critical
+    is treated as a crossing."""
+    a = a.copy()
+    zero = a == 0.0
+    a[zero] = -b[zero]
+    return a
+
+
+def crossings(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the cells from f' = a to f' = b (elementwise) where the
+    derivative changes sign."""
+    return _zero_as_crossing(a, b) * b < 0.0
+
+
+def curvature_flags(a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
+    """1 where the discrete curvature b - a of a cell clears `margin`."""
+    return (np.abs(b - _zero_as_crossing(a, b)) >= margin).astype(np.int64)
+
+
 def critical_cells(deriv: np.ndarray, margin: float):
     """Indices i where the periodic derivative changes sign on (i, i+1).
 
     Second array flags cells whose discrete curvature clears `margin`.
     """
     deriv = np.asarray(deriv, dtype=np.float64)
-    a = deriv.copy()
     b = np.roll(deriv, -1)
-    a[a == 0.0] = -b[a == 0.0]  # grid point exactly critical: treat as crossing
-    mask = a * b < 0.0
-    cells = np.nonzero(mask)[0]
-    curv = b[cells] - a[cells]
-    flags = (np.abs(curv) >= margin).astype(np.int64)
-    return cells.astype(np.int64), flags
+    cells = np.nonzero(crossings(deriv, b))[0]
+    return cells.astype(np.int64), curvature_flags(deriv[cells], b[cells], margin)

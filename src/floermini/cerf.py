@@ -10,10 +10,21 @@ as a sign change of the value difference of two equal-index branches.
 Closed forms polynomial in eta, like the paper's (1 - s)H0 + sH1, are
 expanded once per family and theta grid: H = sum eta^k F_k(theta), with
 the G_k = dF_k/dtheta and the means of the F_k sampled, so a slice gets
-its grid f' and mean by Horner's rule.  Two guards keep every artifact
-as exact evaluation writes it: f' samples near zero, their neighbours
-and both ends of each sign-change cell are re-evaluated exactly, and a
-mean near a half-quantum is recomputed by `periodic_mean()`.  An eta-free
+its mean by Horner's rule.  Away from the diagram's events the critical
+points move smoothly, so between nearby parameters f' can change sign
+only near them: the scan is certified per block of root etas
+(`_Certificate`).  At the block's midpoint f' is evaluated on the whole
+grid once; a sample whose value there clears the most f' can move
+within the block is certain, its exact sign fixed for every slice of the
+block.  A slice of the block, on the grid or off it, evaluates by
+Horner's rule only the uncertain samples and their neighbours, finds
+cells as sign changes among them plus the block's fixed cells between
+two certain samples of opposite sign, and hands them to the checks that
+every scan shares, `MorseFunction1D._check_cells`.  Guards keep every
+artifact as exact evaluation writes it: evaluated samples near zero,
+their neighbours and both ends of each cell are re-evaluated exactly,
+and a mean near a half-quantum is recomputed by `periodic_mean()`; the
+certificate's own margin is argued next to `_SCAN_GUARD`.  An eta-free
 dH/deta is sampled once per family.  Other families (cos(theta + eta))
 evaluate the closed form per slice.  The family detects every slice it
 uses, `MorseCerfFamily.detect`: it scans each given slice and then
@@ -32,6 +43,7 @@ ambiguity is a refusal, never a guess.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -86,6 +98,20 @@ _EPS = float(np.finfo(float).eps)
 _SCAN_GUARD = 4096.0  # f' samples within this of zero are re-evaluated exactly
 _MEAN_GUARD = 64.0  # times VALUE_QUANTUM: a mean this near a half-quantum falls back
 _SCAN_FLOOR = math.sqrt(np.finfo(float).tiny)  # sample products above it never underflow
+# The sign certificate of a block of root etas [lo, hi], anchored at its
+# midpoint a, with half-width w and R = max |eta| over it.  The expansion's
+# f' at sample j is the polynomial P_j(eta) = sum_k eta^k G_k(theta_j), so
+# |P_j(eta) - P_j(a)| <= w * M_j with M_j = sum_k k |G_k(theta_j)| R^(k-1).
+# Sample j is certain when its Horner value p_j(a) clears w * M_j + 3 * tol,
+# tol the scan guard at R (the guard grows with |eta|, so it bounds the
+# guard at every eta of the block): one tol covers the roundings of p_j(a),
+# of w * M_j and of P_j(eta) against its Horner value, each a few units of
+# the guard's 4096; one is the expansion's error at eta, as in the scan;
+# one keeps |f'| above _SCAN_FLOOR.  So at every eta of the block the exact
+# f' at a certain sample has p_j(a)'s sign and a magnitude whose products
+# never underflow: a cell with two certain ends is critical exactly when
+# their anchor signs differ.
+_BLOCKS = 16  # blocks of the root-eta range [0, 1]; a power of two, so eta * _BLOCKS is exact
 
 
 def _horner(coeffs, x):
@@ -95,12 +121,77 @@ def _horner(coeffs, x):
     return acc
 
 
+def _scan_tol(g_max, eta: float) -> float:
+    """The scan guard at eta: the expansion's f' is within it of f'."""
+    return max(_SCAN_GUARD * _EPS * _horner(g_max, abs(eta)), _SCAN_FLOOR)
+
+
+class _Certificate:
+    """What a block's anchor fixes for every slice of the block.
+
+    `idx` are the samples a slice evaluates, in grid order: the uncertain
+    ones and their neighbours; `G` the G_k there; `nxt` and `prv` the
+    positions in idx of each one's grid neighbours, -1 outside idx;
+    `pairs` the positions whose next sample is in idx too, so every cell
+    with an uncertain end is a pair; `fixed` the cells outside the pairs
+    whose two certain ends have opposite signs."""
+
+    __slots__ = ("idx", "G", "nxt", "prv", "pairs", "fixed")
+
+    def __init__(self, G, certain, positive):
+        n = len(certain)
+        unsure = ~certain
+        sampled = unsure | np.roll(unsure, 1) | np.roll(unsure, -1)
+        self.idx = np.nonzero(sampled)[0]
+        pos = np.full(n, -1)
+        pos[self.idx] = np.arange(self.idx.size)
+        self.G = [g[self.idx] for g in G]
+        self.nxt = pos[(self.idx + 1) % n]
+        self.prv = pos[self.idx - 1]
+        self.pairs = np.nonzero(self.nxt >= 0)[0]
+        # a cell with an end outside idx has two certain ends
+        outside = ~(sampled & np.roll(sampled, -1))
+        self.fixed = np.nonzero(outside & (positive != np.roll(positive, -1)))[0]
+
+    @classmethod
+    def block(cls, G, g_max, lo: float, hi: float) -> "_Certificate":
+        """The certificate of root etas [lo, hi], from the G_k grids."""
+        a, w, R = 0.5 * (lo + hi), 0.5 * (hi - lo), max(abs(lo), abs(hi))
+        anchor = _horner(G, a)
+        bound = 3.0 * _scan_tol(g_max, R) + sum(
+            (w * k * R ** (k - 1)) * np.abs(G[k]) for k in range(1, len(G)))
+        return cls(G, np.abs(anchor) > bound, anchor > 0.0)
+
+    def cells(self, vals, tol: float, fp, n: int):
+        """The exact scan's critical cells at one slice of the block, from
+        vals, its f' at idx within tol (updated in place), with the exact
+        fp at both ends of each cell.  Samples within tol of zero and their
+        neighbours in idx are re-evaluated exactly.  The other values have
+        the exact sign and lie above _SCAN_FLOOR, so their products keep
+        it: no critical pair is missed.  The exact ends then drop a cell
+        whose exact product underflows, as the exact scan does."""
+        near = np.zeros(vals.size + 1, dtype=bool)  # position -1: not in idx
+        np.less_equal(np.abs(vals), tol, out=near[:-1])
+        redo = np.nonzero(near[:-1] | near[self.prv] | near[self.nxt])[0]
+        h = TWO_PI / n
+        if redo.size:
+            vals[redo] = fp(self.idx[redo] * h)
+        k = self.pairs
+        found = self.idx[k[_kernels.crossings(vals[k], vals[self.nxt[k]])]]
+        cells = np.sort(np.concatenate([self.fixed, found]))
+        ends = fp(np.concatenate([cells, (cells + 1) % n]) * h)
+        flo, fhi = ends[:cells.size], ends[cells.size:]
+        keep = _kernels.crossings(flo, fhi)
+        return cells[keep], flo[keep], fhi[keep]
+
+
 class _Root:
     """A family's closed form and partial derivatives, compiled once and
     shared with its sub-families, and, when H is polynomial in eta, its
     eta-expansion on the theta grid: (G_k grids, max|G_k|, mean F_k,
     max|F_k|), else None.  The F_k and the G_k each compile to one
-    list-returning function."""
+    list-returning function.  An expansion's block certificates are built
+    on first use."""
 
     def __init__(self, expr, theta_points: int):
         both = (_THETA, _ETA)
@@ -120,38 +211,35 @@ class _Root:
             self.expansion = (G, [float(np.max(np.abs(c))) for c in G],
                               [float(np.mean(c)) for c in F],
                               [float(np.max(np.abs(c))) for c in F])
+        self.certificates: dict = {}  # block index -> _Certificate
+
+    def certificate(self, eta: float) -> _Certificate:
+        """The certificate of the block [j, j + 1] / _BLOCKS holding eta;
+        eta = 1 closes the last block of [0, 1]."""
+        j = _BLOCKS - 1 if eta == 1.0 else math.floor(eta * _BLOCKS)
+        if j not in self.certificates:
+            G, g_max = self.expansion[:2]
+            self.certificates[j] = _Certificate.block(G, g_max, j / _BLOCKS, (j + 1) / _BLOCKS)
+        return self.certificates[j]
 
 
-def _guarded_derivative(deriv, tol, fp, h):
-    """Patch deriv, within tol of f' on the grid of step h, to the exact fp
-    wherever an exact scan could differ.  Samples within tol of zero, and their
-    neighbours, are re-evaluated; the rest have the exact sign, so the
-    kernel finds the exact cells, at any margin.  Both ends of each cell
-    are then re-evaluated too, so flags, indices, the touching test and
-    the bisection starts are the exact scan's."""
-    near = np.abs(deriv) <= tol
-    idx = np.nonzero(near | np.roll(near, 1) | np.roll(near, -1))[0]
-    deriv[idx] = fp(idx * h)
-    cells, _ = _kernels.critical_cells(deriv, 0.0)
-    idx = np.concatenate([cells, (cells + 1) % len(deriv)])
-    deriv[idx] = fp(idx * h)
-    return deriv
-
-
-def _slice_scan(f, expansion, eta: float):
-    """`f._scan` of the slice f at eta.  Without an expansion its grid f' is
-    exact; with one, f' comes by Horner's rule under `_guarded_derivative`
-    and the mean from the F_k means, unless the exact mean might round the
-    other way: then f computes it."""
-    if expansion is None:
+def _slice_scan(f, root: _Root, eta: float):
+    """`f._check_cells` of the slice f at eta.  Without an expansion its grid
+    f' is scanned exactly; with one, the cells come from the certificate of
+    eta's block, f' at its samples by Horner's rule, and the mean from the
+    F_k means, unless the exact mean might round the other way: then f
+    computes it."""
+    if root.expansion is None:
         return f._scan(f._fp(f.grid()))
-    G, g_max, means, f_max = expansion
-    tol = max(_SCAN_GUARD * _EPS * _horner(g_max, abs(eta)), _SCAN_FLOOR)
-    deriv = _guarded_derivative(np.array(_horner(G, eta)), tol, f._fp, TWO_PI / f.N)  # a copy
+    _, g_max, means, f_max = root.expansion
+    cert = root.certificate(eta)
+    vals = np.array(_horner(cert.G, eta))  # a copy: cells() updates it
+    cells, flo, fhi = cert.cells(vals, _scan_tol(g_max, eta), f._fp, f.N)
     x = _horner(means, eta) * VALUE_QUANTUM
     guard = _MEAN_GUARD * _EPS * VALUE_QUANTUM * _horner(f_max, abs(eta))
     near_half = abs(x - math.floor(x) - 0.5) <= guard
-    return f._scan(deriv, None if near_half else Fraction(round(x), VALUE_QUANTUM))
+    return f._check_cells(vals, cells, flo, fhi,
+                          None if near_half else Fraction(round(x), VALUE_QUANTUM))
 
 
 class MorseCerfFamily:
@@ -202,7 +290,9 @@ class MorseCerfFamily:
         """Slice at slot s (cached), not yet detected: `detect` fills in
         its critical points, and every reader takes it through
         `detected_slice`, so all of them share one slice per s.  A slice
-        keeps its critical points and mean, never a sample grid."""
+        keeps its critical points and mean, never a sample grid.  Its f
+        and f' take eta as an array of theta's shape, as `detect` does for
+        a batch: numpy's eta**3 need not round as Python's does."""
         s = float(s)
         if s not in self._slices:
             eta = self.root_eta(s)
@@ -210,11 +300,11 @@ class MorseCerfFamily:
 
             def f(t):
                 t = np.asarray(t, dtype=float)
-                return np.zeros_like(t) + root.f(t, eta)
+                return np.zeros_like(t) + root.f(t, np.full_like(t, eta))
 
             def fp(t):
                 t = np.asarray(t, dtype=float)
-                return np.zeros_like(t) + root.fp_theta(t, eta)
+                return np.zeros_like(t) + root.fp_theta(t, np.full_like(t, eta))
 
             self._slices[s] = MorseFunction1D(f, fp, N=self.theta_points)
         return self._slices[s]
@@ -233,7 +323,7 @@ class MorseCerfFamily:
                 continue
             eta = self.root_eta(s)
             try:
-                scans.append(_slice_scan(f, self._root.expansion, eta))
+                scans.append(_slice_scan(f, self._root, eta))
             except MorseError as e:
                 self._failed[s] = str(e)
                 continue
@@ -517,8 +607,18 @@ class Branch:
         return self.etas[0], self.etas[-1]
 
     def theta_near(self, eta: float) -> float:
-        i = min(range(len(self.etas)), key=lambda j: abs(self.etas[j] - eta))
-        return self.thetas[i]
+        """The tracked theta at eta: a recorded sample's own theta, else
+        linear on the circle, along the shorter arc, between the two
+        samples around eta; the end sample's outside the domain."""
+        i = bisect.bisect_left(self.etas, eta)
+        if i == len(self.etas):
+            return self.thetas[-1]
+        if i == 0 or self.etas[i] == eta:
+            return self.thetas[i]
+        e0, e1 = self.etas[i - 1], self.etas[i]
+        t0 = self.thetas[i - 1]
+        arc = (self.thetas[i] - t0 + math.pi) % TWO_PI - math.pi
+        return (t0 + arc * (eta - e0) / (e1 - e0)) % TWO_PI
 
 
 class Cusp:

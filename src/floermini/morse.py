@@ -326,31 +326,40 @@ class MorseFunction1D:
         return self._finish(thetas, self._f(thetas), falls, mean)
 
     def _scan(self, deriv: np.ndarray, mean: Fraction | None = None):
-        """The checks of the grid f' in deriv: per critical cell its start
-        lo, f'(lo) and whether f' falls across it, and the quantized mean,
-        `mean` if given.  Only these per-cell arrays outlive the call,
-        never the grid."""
+        """`_check_cells` of the critical cells of the whole grid f' in
+        deriv, found by `_kernels.critical_cells`; their curvature flags
+        are the checks' to read."""
+        cells, _ = _kernels.critical_cells(deriv, 0.0)
+        return self._check_cells(deriv, cells, deriv[cells], deriv[(cells + 1) % self.N], mean)
+
+    def _check_cells(self, sampled, cells, flo, fhi, mean: Fraction | None = None):
+        """The checks of a grid scan, given the f' values it sampled, its
+        sorted critical cells, and f' at both ends of each: per cell its
+        start lo, f'(lo) and whether f' falls across it, and the quantized
+        mean, `mean` if given.  Only these per-cell arrays outlive the
+        call, never the grid."""
         h = TWO_PI / self.N
         margin = (2.0 / self.N) * h
-        if not np.all(np.isfinite(deriv)):
+        if not (np.isfinite(sampled).all() and np.isfinite(flo).all()
+                and np.isfinite(fhi).all()):
             raise MorseError("derivative evaluation failed")
-        cells, flags = _kernels.critical_cells(deriv, margin)
         if len(cells) == 0:
             raise MorseError("no critical points detected after normalization")
-        bad = [int(c) for c, ok in zip(cells, flags) if not ok]
-        if bad:
-            raise MorseError(f"degeneracy within margin at cells {bad}")
+        bad = cells[_kernels.curvature_flags(flo, fhi, margin) == 0]
+        if bad.size:
+            raise MorseError(f"degeneracy within margin at cells {bad.tolist()}")
         # two crossings through one grid point where f' barely leaves zero:
         # a degenerate critical point sampled as a max/min pair
         shared = (cells + 1) % self.N
-        touching = shared[(np.roll(cells, -1) == shared) & (np.abs(deriv[shared]) < margin)]
+        following = np.concatenate((cells[1:], cells[:1]))
+        touching = shared[(following == shared) & (np.abs(fhi) < margin)]
         if touching.size:
             raise MorseError(
                 f"degenerate critical point at theta={touching[0] * h:.9f}: "
                 "f' touches zero on the grid"
             )
         mean = _quantize(self.periodic_mean()) if mean is None else mean
-        return cells * h, deriv[cells], deriv[cells] > deriv[shared], mean
+        return cells * h, flo, flo > fhi, mean
 
     def _finish(self, thetas, raws, falls, mean) -> list:
         """Critical points at the refined thetas, with f there in raws:

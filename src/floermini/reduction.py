@@ -118,14 +118,16 @@ def _peak_pivot(v: Vector, weight):
     return best
 
 
-def orthogonalize(columns: Iterable[tuple], weight):
+def orthogonalize(columns: Iterable[tuple], weight, reduced: Iterable[Reduced] = ()):
     """Triangularize columns; returns (reduced list, kernel companions).
 
     `columns` yields (vector, companion) pairs; identical row operations
     are applied to companions, so a column that collapses to zero leaves
-    its companion as an exact linear relation among the inputs.
+    its companion as an exact linear relation among the inputs.  The
+    elimination starts from `reduced`, entries already triangular, which
+    lead the returned list unchanged.
     """
-    reduced: list[Reduced] = []
+    reduced: list[Reduced] = list(reduced)
     kernel: list = []
     for vec, comp in columns:
         # private copies, updated in place: callers' dicts stay untouched
@@ -176,10 +178,11 @@ class Decomposition:
     `image` is the level-orthogonal basis of the image, each vector with
     the preimage that the row operations tracked (its companion), and
     `kernel` holds the raw relations among the columns, in input order.
-    `kernel_basis` is one elimination of `boundaries()`, the image basis of
-    the map into d's source, which comes back unchanged, then of `kernel`:
-    past the boundaries it holds the homology representatives.  It and the
-    largest finite bar are computed on first use.
+    `kernel_basis` is the elimination of `kernel` seeded with
+    `boundaries()`, the image basis of the map into d's source, which is
+    triangular already and leads the basis as it is: past the boundaries
+    it holds the homology representatives.  It and the largest finite bar
+    are computed on first use.
     """
 
     def __init__(self, columns: Iterable[tuple], weight, boundaries=list):
@@ -189,9 +192,8 @@ class Decomposition:
 
     @cached_property
     def kernel_basis(self) -> list:
-        # each boundary vector already vanishes at the earlier pivots
-        cols = [(r.vec, {}) for r in self._boundaries()] + [(k, {}) for k in self.kernel]
-        basis, _ = orthogonalize(cols, self.weight)
+        seed = [Reduced(r.pivot, r.vec, {}) for r in self._boundaries()]
+        basis, _ = orthogonalize([(k, {}) for k in self.kernel], self.weight, seed)
         return basis
 
     def some_preimage(self, target: Vector):

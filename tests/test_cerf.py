@@ -316,42 +316,53 @@ class TestEtaExpansion:
     N = 2048
 
     @settings(max_examples=40)
-    @given(a=_trig(), b=_trig(), c=_trig(), k=st.tuples(_rationals, _rationals),
-           quadratic=st.booleans(), slots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    def test_fast_scan_matches_exact_scan(self, a, b, c, k, quadratic, slots):
+    @given(a=_trig(), b=_trig(), c=_trig(), d=_trig(), k=st.tuples(_rationals, _rationals),
+           degree=st.integers(1, 3), slots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           edges=st.lists(st.integers(0, 16), min_size=1, max_size=2))
+    def test_fast_scan_matches_exact_scan(self, a, b, c, d, k, degree, slots, edges):
+        """Families of degree 1 to 3 in eta, sliced anywhere, at the ends of
+        blocks and one ulp off them: each slice is the exact detection, and
+        the certificate of the first slot's block holds at three etas."""
         expr = f"({k[0]}) + cos(theta) + ({a})/2 + eta*({k[1]} + {b})"
-        expr += f" + eta**2*({c})" if quadratic else ""
+        expr += "".join(f" + eta**{e}*({t})" for e, t in ((2, c), (3, d))[:degree - 1])
         fam = MorseCerfFamily(expr, eta_points=9, theta_points=self.N)
         assert fam._root.expansion is not None
+        ulp = 2.0**-52
+        slots += [e / 16 + u for e in edges for u in (-ulp, 0.0, ulp) if 0 <= e / 16 + u <= 1]
         for s in slots + [0.0, 0.5, 1.0]:
             _assert_slice_exact(fam, s)
+        j = min(math.floor(slots[0] * cerf._BLOCKS), cerf._BLOCKS - 1)
+        _assert_certificate_sound(fam, j, [j / cerf._BLOCKS, slots[0], (j + 1) / cerf._BLOCKS])
 
     def test_exact_zero_and_near_zero_on_the_grid(self, monkeypatch):
-        guarded, seen = cerf._guarded_derivative, []
+        cells, seen = cerf._Certificate.cells, []
 
-        def spy(deriv, tol, fp, h):
-            seen.append((deriv.copy(), tol))
-            return guarded(deriv, tol, fp, h)
+        def spy(cert, vals, tol, fp, n):
+            out = cells(cert, vals, tol, fp, n)
+            seen.append((cert.idx, vals.copy(), tol))
+            return out
 
-        monkeypatch.setattr(cerf, "_guarded_derivative", spy)
+        monkeypatch.setattr(cerf._Certificate, "cells", spy)
         fam = MorseCerfFamily(BD_FAMILY, eta_points=9, theta_points=self.N)
         sl = _assert_slice_exact(fam, 0.0)
         g = sl.grid()
         assert sl._fp(g[:1])[0] == 0.0  # f' = -sin(theta) vanishes at theta = 0
         assert 0.0 in [p.theta for p in sl.critical_points()]
-        [(deriv, tol)] = seen
+        [(idx, vals, tol)] = seen
         half = self.N // 2  # theta = pi exactly: -sin(pi) is about -1.2e-16
         assert 0.0 < abs(sl._fp(g[half:half + 1])[0]) < 1e-15
-        assert abs(deriv[half]) <= tol  # re-evaluated exactly
+        # both are uncertain samples of the block [0, 1/16], re-evaluated exactly
+        assert vals[list(idx).index(0)] == 0.0
+        assert abs(vals[list(idx).index(half)]) <= tol
 
     def test_mean_on_a_half_quantum_falls_back(self, monkeypatch):
-        scan, means = MorseFunction1D._scan, {}  # slice -> the mean given to its scan
+        check, means = MorseFunction1D._check_cells, {}  # slice -> the mean given to its checks
 
-        def spy(f, deriv, mean=None):
+        def spy(f, sampled, cells, flo, fhi, mean=None):
             means[f] = mean
-            return scan(f, deriv, mean)
+            return check(f, sampled, cells, flo, fhi, mean)
 
-        monkeypatch.setattr(MorseFunction1D, "_scan", spy)
+        monkeypatch.setattr(MorseFunction1D, "_check_cells", spy)
         fam = MorseCerfFamily(
             "1/2000000000000 + cos(theta) + eta*sin(2*theta)", eta_points=9, theta_points=self.N
         )
@@ -387,7 +398,7 @@ def _assert_grid_matches_per_slice(fam):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MorseFunction1D, "_detect", _forbidden)  # no per-slice path
         fam.detect_grid()
-        mp.setattr(MorseFunction1D, "_scan", _forbidden)  # no slice twice
+        mp.setattr(MorseFunction1D, "_check_cells", _forbidden)  # no slice twice
         got = [_outcome(lambda: fam.detected_slice(s).critical_points()) for s in fam.grid]
     detected = 0
     for s, outcome in zip(fam.grid, got):
@@ -425,6 +436,15 @@ class TestGridDetection:
         fam = MorseCerfFamily(f"(1 - eta)*({f}) + eta*({g})", eta_points=17, theta_points=4096)
         _assert_grid_matches_per_slice(fam)
 
+    def test_cubic_in_eta(self):
+        # numpy's eta**3 on an array is 1 ulp off Python's here: a slice's
+        # own f and f' take eta as an array, as the batch does
+        fam = MorseCerfFamily("cos(theta) + eta**3*(-3/4*cos(theta))", eta_points=9,
+                              theta_points=1024)
+        assert _assert_grid_matches_per_slice(fam) == 9
+        fam.detect([0.44428681350285426])
+        _assert_slice_exact(fam, 0.44428681350285426)
+
     def test_degenerate_interior_slice_is_left_to_the_walker(self):
         fam = MorseCerfFamily("(1 - 2*eta)*cos(theta)", eta_points=33, theta_points=4096)
         assert _assert_grid_matches_per_slice(fam) == 32
@@ -438,9 +458,95 @@ class TestGridDetection:
         fam = MorseCerfFamily(BD_FAMILY, eta_points=9, theta_points=4096)
         fam.complex_at(3)
         assert all(fam.function_at(s)._crit is not None for s in fam.grid)
-        monkeypatch.setattr(MorseFunction1D, "_scan", _forbidden)
+        monkeypatch.setattr(MorseFunction1D, "_check_cells", _forbidden)
         fam.detect_grid()
         fam.complex_at(4)  # no second scan
+
+
+# -- the block certificates of the certified scan ------------------------------------
+
+
+def _assert_every_slice_exact(fam):
+    """Every slice the family created, on the grid or off it, was scanned
+    as a plain exact detection of the same f and f' scans, bit for bit or
+    with the same MorseError text.  Returns the off-grid slots."""
+    for s in fam._slices:
+        _assert_slice_exact(fam, s)
+    return sorted(set(fam._slices) - set(map(float, fam.grid)))
+
+
+def _assert_certificate_sound(fam, j, etas):
+    """At each root eta of block j, the exact grid f' has the anchor's sign
+    and clears the scan guard at every sample the block's slices never
+    evaluate, and each fixed cell changes sign."""
+    root = fam._root
+    G, g_max = root.expansion[:2]
+    cert = root.certificates[j]
+    anchor = cerf._horner(G, (j + 0.5) / cerf._BLOCKS)
+    left_out = np.setdiff1d(np.arange(fam.theta_points), cert.idx)
+    thetas = np.arange(fam.theta_points) * (2 * math.pi / fam.theta_points)
+    for eta in etas:
+        exact = np.zeros_like(thetas) + root.fp_theta(thetas, eta)
+        tol = cerf._scan_tol(g_max, eta)
+        assert np.all(np.sign(exact[left_out]) == np.sign(anchor[left_out]))
+        assert np.all(np.abs(exact[left_out]) > tol)
+        assert np.all(exact[cert.fixed] * exact[(cert.fixed + 1) % fam.theta_points] < 0)
+
+
+class TestCertifiedScan:
+    @pytest.mark.parametrize("expr", [TWO_EVENT_FAMILY, BD_FAMILY, SLOPE_FAMILY],
+                             ids=["two_event", "birth_death", "slope"])
+    def test_every_slice_of_a_diagram_scans_exactly(self, expr):
+        fam = MorseCerfFamily(expr, theta_points=4096)
+        d = fam.diagram()
+        classify_events(d)  # branch slopes read their slices too
+        off_grid = _assert_every_slice_exact(fam)
+        assert len(off_grid) >= 10
+        # the blocks holding a cusp: walker bisection slices, all certified
+        for c in d.cusps:
+            j = math.floor(c.eta * cerf._BLOCKS)
+            inside = [s for s in off_grid if j <= s * cerf._BLOCKS < j + 1]
+            assert len(inside) >= 10
+            cert = fam._root.certificates[j]
+            assert 0 < cert.idx.size < fam.theta_points // 4
+            _assert_certificate_sound(fam, j, [j / cerf._BLOCKS, c.eta, (j + 1) / cerf._BLOCKS]
+                                      + inside[::4])
+
+    def test_reversed_sub_family(self):
+        fam = sub_family(MorseCerfFamily(TWO_EVENT_FAMILY, eta_points=65, theta_points=4096),
+                         0.9, 0.1)
+        classify_events(fam.diagram())
+        assert _assert_every_slice_exact(fam)
+        # the root's blocks, shared with the parent family
+        assert set(fam._root.certificates) == set(range(1, 15))
+
+    def test_degenerate_slice_and_its_block(self):
+        fam = MorseCerfFamily("(1 - 2*eta)*cos(theta)", eta_points=33, theta_points=4096)
+        near = [0.5 - 2**-30, 0.5, 0.5 + 2**-30, 0.49, 0.51, 0.4375, 0.5625]
+        fam.detect(near)
+        _assert_every_slice_exact(fam)
+        assert fam.function_at(0.5)._crit is None
+        # f' = (2 eta - 1) sin(theta) vanishes at the end of block 7 and the
+        # start of block 8: no sample is certain there
+        for j in (7, 8):
+            assert fam._root.certificates[j].idx.size == fam.theta_points
+
+    @pytest.mark.parametrize("d,certain", [("1/100000000000", True), ("1/1000000000000", False),
+                                           ("0", False)])
+    def test_tight_bound(self, d, certain):
+        """f'(0, eta) = eta - 9/16 - d: on the block [1/2, 9/16], w * M = 1/32
+        at theta = 0, and its anchor value at 17/32 clears that by d alone,
+        about 6.8 scan guards for d = 1e-11 and 0.68 for d = 1e-12.  The
+        sample is certain only with the three guards the bound asks for;
+        at d = 0 f' vanishes there at the block's end."""
+        expr = f"(eta - 9/16 - {d})*sin(theta) - 1/4*(sin(theta) - 1/2*sin(2*theta))"
+        fam = MorseCerfFamily(expr, eta_points=17, theta_points=1024)
+        slots = [0.5, 0.53125, 0.5625 - 2**-40, 0.5625]
+        fam.detect(slots)
+        _assert_every_slice_exact(fam)
+        assert (0 not in fam._root.certificates[8].idx) == certain
+        if certain:
+            _assert_certificate_sound(fam, 8, slots + [0.5625 - 2**-50])
 
 
 def _reference_contributions(fam):
@@ -545,6 +651,21 @@ def _subnormal_product(N=4096):
     )
 
 
+def _underflow_pair(N=4096):
+    """f' = sin(theta) from a table, except that the samples around pi are
+    1e-165 and -1e-165: their product underflows to -0.0, so the exact scan
+    sees no crossing there, while moving them away from zero by the
+    smallest guard, _SCAN_FLOOR, takes them past it and makes a crossing."""
+    g = np.arange(N) * (2 * math.pi / N)
+    d = np.sin(g)
+    d[N // 2], d[N // 2 + 1] = 1e-165, -1e-165
+    return MorseFunction1D(
+        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        lambda t: np.interp(np.asarray(t, dtype=float), g, d, period=2 * math.pi),
+        N=N,
+    )
+
+
 def _misleading_cases():
     h = 2 * math.pi / 4096
     margin = (2.0 / 4096) * h
@@ -566,30 +687,44 @@ def _misleading_cases():
         lambda: MorseFunction1D.closed_form(degenerate_on_grid, N=4096),
         lambda: cubic,
         _subnormal_product,
+        _underflow_pair,
     ] + [
         (lambda e: lambda: MorseFunction1D.closed_form(e, N=4096))(_trig_text(rng))
         for _ in range(4)
     ]
-    return [(make, tol) for make in makes for tol in (1e-14, margin / 2, 2 * margin, 1e-2)]
+    return [(make, tol) for make in makes
+            for tol in (cerf._SCAN_FLOOR, 1e-14, margin / 2, 2 * margin, 1e-2)]
 
 
-def _scan_outcome(f, deriv):
-    """`f._scan` of the grid f' deriv as bitwise-comparable lists (cell
-    starts, f' there, falls, mean), or the MorseError text.  Detection
-    bisects from these alone, so equal scans give equal critical points."""
+def _scan_outcome(scan):
+    """A scan's result as bitwise-comparable lists (cell starts, f' there,
+    falls, mean), or the MorseError text.  Detection bisects from these
+    alone, so equal scans give equal critical points."""
     try:
-        return [x.tolist() if isinstance(x, np.ndarray) else x for x in f._scan(deriv)]
+        return [x.tolist() if isinstance(x, np.ndarray) else x for x in scan()]
     except MorseError as e:
         return str(e)
 
 
+def _certified_outcome(f, certain, approx, tol):
+    """The certified scan of f from approx, f' within tol on the samples
+    that `certain` leaves to the slice; a certain sample's sign is taken
+    from the exact f'."""
+    exact = f._fp(f.grid())
+    cert = cerf._Certificate([exact], certain, exact > 0.0)
+    vals = approx[cert.idx]
+    return _scan_outcome(lambda: f._check_cells(vals, *cert.cells(vals, tol, f._fp, f.N)))
+
+
 @pytest.mark.parametrize("mode", ["toward", "away"])
 def test_misleading_approximation_gives_the_exact_scan(mode):
-    """Whatever the approximation within its tol, the guarded grid f' scans
-    (or raises its MorseError) as the exact one does, bit for bit."""
+    """Whatever the approximation within its tol, the certified scan (or
+    its MorseError) is the exact one's, bit for bit: with no sample
+    certain, and with every sample certain whose exact f' clears tol."""
     for make, tol in _misleading_cases():
         f = make()
         exact = f._fp(f.grid())
-        guarded = cerf._guarded_derivative(_misleading(exact, tol, mode), tol, f._fp,
-                                           2 * math.pi / f.N)
-        assert _scan_outcome(f, guarded) == _scan_outcome(f, exact)
+        approx = _misleading(exact, tol, mode)
+        want = _scan_outcome(lambda: f._scan(exact))
+        for certain in (np.zeros(f.N, dtype=bool), np.abs(exact) > tol):
+            assert _certified_outcome(f, certain, approx, tol) == want

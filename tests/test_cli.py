@@ -437,11 +437,11 @@ class TestRun:
                         if value is fn:
                             monkeypatch.setattr(mod, attr, wrapper)
 
-        function_at, scan = cerf.MorseCerfFamily.function_at, MorseFunction1D._scan
+        function_at, check = cerf.MorseCerfFamily.function_at, MorseFunction1D._check_cells
 
         def counted_scan(f, *args):
             scans[f] = scans.get(f, 0) + 1
-            return scan(f, *args)
+            return check(f, *args)
 
         def recorded_function_at(fam, s):
             slots.add(float(s))
@@ -449,7 +449,7 @@ class TestRun:
 
         count_everywhere("diagram", cerf.bifurcation_diagram)
         count_everywhere("step_maps", continuation.step_maps)
-        monkeypatch.setattr(MorseFunction1D, "_scan", counted_scan)
+        monkeypatch.setattr(MorseFunction1D, "_check_cells", counted_scan)
         monkeypatch.setattr(cerf.MorseCerfFamily, "function_at", recorded_function_at)
         # a birth cusp; a birth cusp and a crossing (acceptance 07)
         for name, eta_points in (("birth_death", 17), ("two_event", 33)):
@@ -520,8 +520,10 @@ class TestRun:
         assert "value 1) do not lower the level on a 1024-point grid" in err["message"]
 
     def test_lost_crossing_branch_is_a_validation_error(self, tmp_path, capsys):
-        family = {"kind": "closed_form", "expr": "cos(2*theta + 4*eta) + 1/5*cos(theta)",
-                  "eta_points": 9, "theta_points": 2048}
+        # the branches turn at 8 eta rad per unit eta: between samples 1/4
+        # apart they bend away from the line that the search follows
+        family = {"kind": "closed_form", "expr": "cos(2*theta + 8*eta**2) + 1/5*cos(theta)",
+                  "eta_points": 5, "theta_points": 2048}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"family": family, "tasks": ["diagram"]}))
         assert run(p, tmp_path / "out") == 2
@@ -530,6 +532,23 @@ class TestRun:
         assert err["message"].startswith("crossing search of branches b0 and b2 at eta=")
         assert "lost the critical point near theta=" in err["message"]
         assert err["message"].endswith("; refine the eta grid")
+
+    def test_crossing_search_follows_a_fast_branch(self, tmp_path):
+        """The branches of cos(2 theta + 4 eta) turn 2 rad per unit eta: a
+        crossing midpoint of a 9-point grid lies 0.125 rad from the nearest
+        sample, beyond the search's reach, but on the line between the two
+        samples around it.  The crossing is the one finer grids find."""
+        rows = {}
+        for eta_points in (9, 17):
+            family = {"kind": "closed_form", "expr": "cos(2*theta + 4*eta) + 1/5*cos(theta)",
+                      "eta_points": eta_points, "theta_points": 2048}
+            p = tmp_path / f"cfg{eta_points}.json"
+            p.write_text(json.dumps({"family": family, "tasks": ["diagram"]}))
+            out = tmp_path / f"out{eta_points}"
+            assert run(p, out) == 0
+            rows[eta_points] = [r for r in (out / "events.csv").read_text().splitlines()
+                                if r.endswith(",b0,b2")]
+        assert rows[9] == rows[17] == ["crossing,0.785398006439,-1.0050000627,b0,b2"]
 
     def test_declared_birth_is_one_cusp_in_events_csv(self, tmp_path):
         x = {"id": "x", "level": {"q": "0"}, "index": 0}
@@ -604,9 +623,9 @@ class TestEtaExpansion:
                 "classes": ["point"],
             }))
         scans = []
-        guarded = cerf._guarded_derivative
-        monkeypatch.setattr(cerf, "_guarded_derivative",
-                            lambda *args: scans.append(args) or guarded(*args))
+        certified = cerf._Certificate.cells
+        monkeypatch.setattr(cerf._Certificate, "cells",
+                            lambda *args: scans.append(args) or certified(*args))
         assert run(path, tmp_path / "on") == 0
         assert scans
 

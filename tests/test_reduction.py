@@ -222,3 +222,20 @@ def test_decomposition_preimage_is_exact_and_level_minimal(seed, kind):
             if c.degree == k - 1:
                 off = vec_axpy(dict(target.coeffs), None, c.representative.coeffs)
                 assert dec.preimage(off) is None
+
+
+@settings(max_examples=40)
+@given(seed=seeds, kind=groups)
+def test_kernel_basis_matches_one_elimination_of_boundaries_and_relations(seed, kind):
+    """The kernel basis, seeded with the boundary basis, is the elimination
+    of the boundary vectors followed by the raw kernel relations: the same
+    pivots and vectors, the boundary basis leading it as it is."""
+    X, _ = random_complex(random.Random(seed), group=GROUPS[kind]())
+    for k in X.degrees():
+        dec = X.decomposition(k)
+        bounds = X.boundary_basis(k)
+        cols = [(r.vec, {}) for r in bounds] + [(z, {}) for z in dec.kernel]
+        want, _ = orthogonalize(cols, X.weight)
+        got = dec.kernel_basis
+        assert [(r.pivot, r.vec) for r in got] == [(r.pivot, r.vec) for r in want]
+        assert all(r.vec is b.vec and r.pivot == b.pivot for r, b in zip(got, bounds))
