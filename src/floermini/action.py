@@ -42,11 +42,6 @@ __all__ = [
     "NEG_INFINITY",
     "POS_INFINITY",
     "make_period_group",
-    "omega_eval",
-    "compare",
-    "scalar_valuation",
-    "leading_term",
-    "invert",
 ]
 
 
@@ -387,15 +382,6 @@ class PeriodGroup:
         cap = self.check_cap(cap)
         return sum(c * w for c, w in zip(cap, self.c1_weights))
 
-    @property
-    def is_discrete(self) -> bool:
-        """Discrete image iff at most one independent generator value."""
-        return self.rank <= 1
-
-    @property
-    def is_dense(self) -> bool:
-        return self.rank >= 2
-
     def cap_with_omega(self, target: ActionValue):
         """The unique cap with omega(cap) == target, or None.
 
@@ -456,15 +442,6 @@ class PeriodGroup:
 def make_period_group(values, c1_weights) -> PeriodGroup:
     """Build a period group from exact constants; see PeriodGroup."""
     return PeriodGroup([ActionValue.coerce(v) for v in values], c1_weights)
-
-
-def omega_eval(cap, group: PeriodGroup) -> ActionValue:
-    return group.omega(cap)
-
-
-def compare(a: ActionValue, b: ActionValue) -> int:
-    """-1, 0, +1 per the real embedding; equality iff identical coefficients."""
-    return (ActionValue.coerce(a) - ActionValue.coerce(b)).sign()
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +939,3 @@ class NovikovScalar:
             group, {tuple(t["cap"]): Fraction(t["coeff"]) for t in obj}
         )
 
-
-scalar_valuation = NovikovScalar.valuation
-leading_term = NovikovScalar.leading_term
-invert = NovikovScalar.invert

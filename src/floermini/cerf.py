@@ -819,6 +819,9 @@ class _Walker:
             _record(remap, rich, rich_eta)
             return self.advance(rich, remap, b, hi)
         dying = [alive[j].id for j in pair_idx if j in alive]
+        # every branch alive just before the death gets a sample at a, so a
+        # crossing between the last grid point and the death is seen
+        _record({j: br for j, br in alive.items() if br.etas[-1] != a}, c_a, a)
         pairs = pair_critical_lists([rich[j] for j in survivors], c_b).pairs
         remap = {pos_b: alive[survivors[pos_s]] for pos_s, pos_b in pairs}
         self.cusps.append(Cusp(eta_star, value, tuple(dying), indices, "death"))

@@ -26,7 +26,7 @@ from .continuation import (
     step_maps,
     variation_bounds,
 )
-from .errors import ConfigError, FloerminiError, NonCerfError, ValidationFailure
+from .errors import ConfigError, FloerminiError, NonCerfError
 from .hofer import gamma as hofer_gamma
 from .morse import THETA_TOLERANCE, VALUE_QUANTUM, build_circle_valued, build_s1_morse
 from .render import render_curve_svg, render_diagram_svg
@@ -327,7 +327,7 @@ def run(config_path, out_dir=None, seed=None, grid=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         try:
             runner.run_tasks()
-        except (NonCerfError, ValidationFailure) as e:
+        except NonCerfError as e:
             _error("validation", str(e))
             runner.report["validation_error"] = str(e)
             runner.exit_code = 2

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .action import (
-    NEG_INFINITY,
     POS_INFINITY,
     ActionValue,
     NovikovScalar,
@@ -124,9 +123,6 @@ class SpecSet:
     def __init__(self, group: PeriodGroup, levels: Iterable[tuple]):
         self.group = group
         self.levels = tuple(levels)  # (orbit id, level)
-
-    def contains(self, value: ActionValue) -> bool:
-        return self.witness(value) is not None
 
     def witness(self, value: ActionValue):
         """(orbit id, cap) with level(orbit) - omega(cap) == value, or None."""

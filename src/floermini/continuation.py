@@ -64,10 +64,6 @@ class VariationBounds:
     def e_plus(self) -> ActionValue:
         return ActionValue.rational(sum((b for _, b in self.contributions), Fraction(0)))
 
-    @property
-    def e_total(self) -> ActionValue:
-        return self.e_minus + self.e_plus
-
     def __repr__(self):
         return (
             f"VariationBounds(e_minus={self.e_minus!r}, e_plus={self.e_plus!r})"
@@ -389,36 +385,6 @@ class MuCurve:
         self.peaks = peaks
         self.bounds = bounds
         self.start_index = start_index
-
-    def to_csv_rows(self):
-        rows = []
-        for eta, value, peaks in zip(self.etas, self.values, self.peaks):
-            orbit, cap = peaks[0] if peaks else ("", ())
-            rows.append((
-                f"{eta:.12g}",
-                f"{float(value):.12g}",
-                orbit,
-                "[" + " ".join(str(c) for c in cap) + "]",
-            ))
-        return rows
-
-    def check_lipschitz(self):
-        """|mu(j) - mu(i)| <= E(i, j) pairwise on all sampled pairs."""
-        n = len(self.etas)
-        pref_n = [Fraction(0)]
-        pref_p = [Fraction(0)]
-        for a, b in self.bounds.contributions:
-            pref_n.append(pref_n[-1] + a)
-            pref_p.append(pref_p[-1] + b)
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = ActionValue.rational(
-                    (pref_n[j] - pref_n[i]) + (pref_p[j] - pref_p[i])
-                )
-                diff = self.values[j] - self.values[i]
-                if diff > e or -diff > e:
-                    return False, (i, j, diff, e)
-        return True, None
 
 
 def _transport(fam, alpha, start: int, fwd, bwd) -> list:

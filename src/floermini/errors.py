@@ -71,7 +71,3 @@ class ChainMapError(FloerminiError):
 
 class ConfigError(FloerminiError):
     """Run configuration is missing fields or malformed."""
-
-
-class ValidationFailure(FloerminiError):
-    """Input data failed validation (distinct from engine errors for exit codes)."""

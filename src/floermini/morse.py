@@ -26,7 +26,7 @@ from .action import ActionValue, NovikovScalar, PeriodGroup, make_period_group
 from .complexes import FilteredComplex, NovikovChain, Orbit
 from .errors import ComplexStructureError, FiltrationError, MorseError, PairingError
 from .reduction import vec_axpy
-from .spectral import _solve_rational, rho as engine_rho
+from .spectral import rho as engine_rho
 
 __all__ = [
     "MorseFunction1D",
@@ -575,12 +575,6 @@ class DecoratedClass:
             return None
         return self.levels[0] - self.levels[1]
 
-    def scalar(self) -> NovikovScalar:
-        terms: dict = {}
-        for cap, c in zip(self.caps, self.coeffs):
-            terms[cap] = terms.get(cap, Fraction(0)) + c
-        return NovikovScalar.from_terms(self.group, terms)
-
 
 class SmallMorseResult:
     __slots__ = ("value", "valid", "minimax", "shift", "condition")
@@ -596,38 +590,12 @@ class SmallMorseResult:
         return f"SmallMorseResult(value={self.value!r}, valid={self.valid})"
 
 
-def _threshold_minimax(report: MorseComplexReport, rep: NovikovChain):
-    """Least level t with a representative supported at levels <= t.
-
-    Rank tests over Q, independent of the engine's orthogonal reduction.
-    """
-    X = report.complex
-    deg = X.degree_of(rep)
-    target = {oid: s.num.get((), Fraction(0)) for oid, s in rep.coeffs.items()}
-    bcols = [
-        {t: s.num.get((), Fraction(0)) for t, s in X.boundary.get(wid, {}).items()}
-        for wid in X.orbit_ids(deg + 1)
-    ]
-    zero = Fraction(0)
-    for t in sorted({X.weight(oid) for oid in X.orbit_ids(deg)}):
-        low = [{oid: Fraction(1)} for oid in X.orbit_ids(deg) if X.weight(oid) <= t]
-        cols = bcols + low
-        rows = sorted(set(target).union(*cols))
-        if _solve_rational(
-            [[col.get(r, zero) for r in rows] for col in cols],
-            [target.get(r, zero) for r in rows],
-        ) is not None:
-            return t
-    raise MorseError("mini-max threshold search failed")
-
-
 def rho_small_morse(f: MorseFunction1D, eps, cls, decorations: DecoratedClass | None = None):
     """Mini-max level of a decorated Morse class via the small-function formula.
 
     Valid when eps * (max f - min f) stays below the top decoration gap;
-    the returned value is the top decoration level plus the mini-max of
-    -eps*f over cycles in the class, and it is checked against the
-    engine's value on the decorated complex (MorseError on a mismatch).
+    the returned value is then the top decoration level plus the engine's
+    rho of the class on the plain Morse complex of -eps*f.
     """
     eps = Fraction(eps)
     report = build_s1_morse(f, eps)
@@ -645,42 +613,5 @@ def rho_small_morse(f: MorseFunction1D, eps, cls, decorations: DecoratedClass | 
         valid = gap is None or ActionValue.rational(spread) <= gap
     if not valid:
         return SmallMorseResult(None, False, None, shift, condition)
-    minimax = _threshold_minimax(report, rep)
-    value = shift + minimax
-
-    # cross-check against the engine on the decorated complex
-    if decorations is None:
-        engine_value = engine_rho(report.complex, rep).value
-        if engine_value != minimax:
-            raise MorseError(
-                f"small-function mini-max {minimax!r} disagrees with the engine's"
-                f" rho {engine_value!r}"
-            )
-    else:
-        G = decorations.group
-        orbits = [Orbit(o.id, o.level, o.index) for o in report.complex.orbits]
-        boundary = {
-            src: {
-                tgt: NovikovScalar.from_terms(
-                    G, {G.zero_cap: s.num.get((), Fraction(0))}
-                )
-                for tgt, s in row.items()
-            }
-            for src, row in report.complex.boundary.items()
-        }
-        XG = FilteredComplex(G, orbits, boundary)
-        u = decorations.scalar()
-        dec_rep = NovikovChain(
-            G,
-            {
-                oid: u.scale(s.num.get((), Fraction(0)))
-                for oid, s in rep.coeffs.items()
-            },
-        )
-        engine_value = engine_rho(XG, dec_rep).value
-        if engine_value != value:
-            raise MorseError(
-                f"decorated small-function value {value!r} disagrees with the"
-                f" engine's rho {engine_value!r}"
-            )
-    return SmallMorseResult(value, True, minimax, shift, condition)
+    minimax = engine_rho(report.complex, rep).value
+    return SmallMorseResult(shift + minimax, True, minimax, shift, condition)

@@ -6,6 +6,12 @@ used, so agreement with the engine is a genuine cross-check.  The box
 bound is certified by recomputing with an enlarged box and demanding the
 same answer.  `min_positive_combination` is the float-grid search that
 shows a rank-2 period group is dense.
+
+The small-function formula is checked two ways: `brute_force_rho` on the
+plain Morse complex plus the top decoration level, and the engine's rho
+on the complex that `decorated_complex` builds over the decorations'
+group.  `check_lipschitz` tests a transferred level curve against its
+variation bounds pair by pair.
 """
 
 from fractions import Fraction
@@ -13,7 +19,8 @@ from itertools import product
 
 import numpy as np
 
-from floermini.action import NEG_INFINITY, ActionValue
+from floermini.action import NEG_INFINITY, ActionValue, NovikovScalar
+from floermini.complexes import FilteredComplex, NovikovChain, Orbit
 
 
 def min_positive_combination(v1: float, v2: float, bound: int) -> float:
@@ -179,3 +186,42 @@ def brute_force_min_preimage_level(X, gamma, bound=2):
         if feasible(t):
             return t
     raise AssertionError("no preimage inside the oracle box")
+
+
+def decorated_complex(report, decorations, rep):
+    """The Morse complex of `report` over the decorations' period group, and
+    `rep` times the decoration scalar sum_j c_j q^(A_j): (complex, chain).
+    The engine's rho of that chain is the decorated class's value."""
+    G = decorations.group
+    orbits = [Orbit(o.id, o.level, o.index) for o in report.complex.orbits]
+    boundary = {
+        src: {tgt: NovikovScalar.from_terms(G, {G.zero_cap: s.num.get((), Fraction(0))})
+              for tgt, s in row.items()}
+        for src, row in report.complex.boundary.items()
+    }
+    terms = {}
+    for cap, c in zip(decorations.caps, decorations.coeffs):
+        terms[cap] = terms.get(cap, Fraction(0)) + c
+    u = NovikovScalar.from_terms(G, terms)
+    chain = NovikovChain(
+        G, {oid: u.scale(s.num.get((), Fraction(0))) for oid, s in rep.coeffs.items()}
+    )
+    return FilteredComplex(G, orbits, boundary), chain
+
+
+def check_lipschitz(curve):
+    """|mu(j) - mu(i)| <= E(i, j) on every sampled pair of a MuCurve:
+    (True, None), or (False, (i, j, diff, E)) at the first pair over."""
+    n = len(curve.etas)
+    pref_n = [Fraction(0)]
+    pref_p = [Fraction(0)]
+    for a, b in curve.bounds.contributions:
+        pref_n.append(pref_n[-1] + a)
+        pref_p.append(pref_p[-1] + b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = ActionValue.rational((pref_n[j] - pref_n[i]) + (pref_p[j] - pref_p[i]))
+            diff = curve.values[j] - curve.values[i]
+            if diff > e or -diff > e:
+                return False, (i, j, diff, e)
+    return True, None

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floermini import cerf, hofer
 from floermini.action import ActionValue, NovikovScalar, make_period_group
 from floermini.cerf import (
+    ETA_TOLERANCE,
     AbstractCerfFamily,
     MorseCerfFamily,
     bifurcation_diagram,
@@ -20,6 +21,7 @@ from floermini.cerf import (
     sub_family,
 )
 from floermini.complexes import FilteredComplex, Orbit
+from floermini.continuation import ChainMap, continuation_map, rho_curve, solve_chain_homotopy
 from floermini.errors import EventError, MorseError, NonCerfError, RankMismatchError
 from floermini.morse import MorseFunction1D, _quantize
 from test_morse import _GRID_POINT, _shifted_sine, _trig as _trig_text
@@ -81,6 +83,63 @@ class TestDiagram:
         fam = MorseCerfFamily("(1-eta)*cos(theta) + eta*cos(theta + pi)")
         with pytest.raises(NonCerfError):
             fam.diagram()
+
+
+def _palindromic(h0, h1):
+    """H0 + 4 eta (1 - eta) (H1 - H0) at 65x4096: on the dyadic eta grid the
+    slices at eta and 1 - eta are bitwise the same function."""
+    return MorseCerfFamily(f"({h0}) + 4*eta*(1 - eta)*(({h1}) - ({h0}))",
+                           eta_points=65, theta_points=4096)
+
+
+def _assert_mirror_symmetric(fam):
+    """The mirror oracle of a palindromic family: its events mirror about
+    1/2 with birth and death swapped, its rho curves read the same both
+    ways, and its loop's continuation map is homotopic to the identity."""
+    d = fam.diagram()
+    tol = 2 * ETA_TOLERANCE  # one bisection error on each side
+
+    def mirrored(etas, back):
+        etas, back = sorted(etas), sorted(1.0 - e for e in back)
+        return len(etas) == len(back) and all(abs(a - b) <= tol for a, b in zip(etas, back))
+
+    births = [c.eta for c in d.cusps if c.kind == "birth"]
+    deaths = [c.eta for c in d.cusps if c.kind == "death"]
+    crossings = [c.eta for c in d.crossings]
+    assert mirrored(births, deaths), (births, deaths)
+    assert mirrored(crossings, crossings), crossings
+    n = len(fam.grid)
+    for cls in ("point", "fundamental"):
+        values = [r.value for _, r in rho_curve(fam, cls)]
+        assert all(values[i] == values[n - 1 - i] for i in range(n)), cls
+    solve_chain_homotopy(continuation_map(fam), ChainMap.identity(fam.chain_complex(0)))
+
+
+class TestMirror:
+    H0 = ("(6/8)*cos(1*theta) + (-3/8)*sin(1*theta) + (-8/8)*cos(2*theta)"
+          " + (-4/8)*sin(2*theta) + (-3/8)*cos(3*theta) + (-4/8)*sin(3*theta)")
+    H1 = ("(7/8)*cos(1*theta) + (-5/8)*sin(1*theta) + (-7/8)*cos(2*theta)"
+          " + (2/8)*sin(2*theta) + (8/8)*cos(3*theta) + (8/8)*sin(3*theta)")
+
+    def test_crossing_next_to_a_death_is_found(self):
+        # the mirror crossing lies between the last grid point and the death
+        fam = _palindromic(self.H0, self.H1)
+        d = fam.diagram()
+        assert [(c.kind, round(c.eta, 6)) for c in d.cusps] == [
+            ("birth", 0.146348), ("death", 0.853652)]
+        assert [round(c.eta, 6) for c in d.crossings] == [0.151102, 0.848898]
+        _assert_mirror_symmetric(fam)
+
+    @settings(max_examples=12)
+    @given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_palindromic_families_of_random_trig_pairs(self, seeds):
+        h0, h1 = (hofer.random_trig_function(random.Random(seed))[0] for seed in seeds)
+        fam = _palindromic(h0, h1)
+        try:
+            assume(classify_events(fam.diagram()).ok)  # a flagged diagram exits 2
+            _assert_mirror_symmetric(fam)
+        except (NonCerfError, EventError):  # refused: not Cerf, or two cusps in one interval
+            assume(False)
 
 
 class TestClassify:

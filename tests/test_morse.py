@@ -1,8 +1,5 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +7,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from floermini import _kernels, hofer, morse
+from floermini import _kernels, hofer
 from floermini.action import ActionValue, make_period_group
 from floermini.cerf import MorseCerfFamily
-from floermini.complexes import NovikovChain
 from floermini.errors import MorseError, PairingError
 from floermini.morse import (
     DecoratedClass,
@@ -25,6 +21,8 @@ from floermini.morse import (
     rho_small_morse,
 )
 from floermini.spectral import rho
+
+from _oracles import brute_force_rho, decorated_complex
 
 
 class TestDetection:
@@ -105,8 +103,8 @@ class TestBuildS1:
         X = rep.complex
         spec = X.spectrum()
         for p in rep.critical_points:
-            assert spec.contains(ActionValue.rational(Fraction(-1, 2) * p.value))
-        assert not spec.contains(ActionValue(1000))
+            assert spec.witness(ActionValue.rational(Fraction(-1, 2) * p.value)) is not None
+        assert spec.witness(ActionValue(1000)) is None
 
     def test_levels_negate_values_exactly(self):
         f = MorseFunction1D.closed_form("cos(theta) + 1/5*sin(3*theta)")
@@ -129,7 +127,7 @@ class TestCircleValued:
         rep = build_circle_valued(f)
         X = rep.complex
         assert len(X.orbits) == 2
-        assert X.group.is_discrete
+        assert X.group.rank <= 1
         assert X.group.omega((1,)) == ActionValue(Fraction(1, 2))
         # the unique index-1 row is (+-)(1 - q^cap) times the index-0 orbit
         (src, row), = X.boundary.items()
@@ -203,12 +201,13 @@ class TestSmallMorse:
         assert res.value == ActionValue(1)
 
     def test_agrees_with_engine_on_crowded_circle(self):
+        """The formula's value, the engine's rho, against the oracle."""
         f = MorseFunction1D.closed_form("cos(theta) + 2/5*cos(2*theta) + 1/10*sin(3*theta)")
         eps = Fraction(1, 3)
         for cls in ("point", "fundamental"):
             res = rho_small_morse(f, eps, cls)
             rep = build_s1_morse(f, eps)
-            assert res.value == rho(rep.complex, rep.class_chain(cls)).value
+            assert res.value == brute_force_rho(rep.complex, rep.class_chain(cls))
 
     def test_gap_condition_flags_invalid(self):
         G = make_period_group([Fraction(1, 10)], [0])
@@ -227,6 +226,33 @@ class TestSmallMorse:
         res = rho_small_morse(f, eps, "point", dec)
         assert res.valid
         assert res.value == ActionValue(Fraction(-1, 4))  # 0 + (-eps * max f)
+        rep = build_s1_morse(f, eps)
+        XG, chain = decorated_complex(rep, dec, rep.point_class())
+        assert rho(XG, chain).value == res.value
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decorated_formula_two_ways(self, seed):
+        """The top decoration level plus the oracle's value on the plain
+        complex, and the engine's rho on the decorated complex, over the
+        dense group <1, sqrt 2> as well as a discrete one."""
+        rng = random.Random(seed)
+        _, f = hofer.random_trig_function(rng)
+        G = [make_period_group([1], [0]),
+             make_period_group([ActionValue(1), ActionValue.sqrt(2)], [0, 0])][seed % 2]
+        caps = sorted({tuple(rng.randint(-2, 2) for _ in range(G.rank)) for _ in range(3)})
+        dec = DecoratedClass(G, caps, [rng.randint(1, 3) for _ in caps])
+        lo, hi = f.value_range()
+        eps = Fraction(1, 10)
+        while dec.top_gap is not None and ActionValue.rational(eps * (hi - lo)) > dec.top_gap:
+            eps /= 2
+        rep = build_s1_morse(f, eps)
+        for cls in ("point", "fundamental"):
+            res = rho_small_morse(f, eps, cls, dec)
+            assert res.valid
+            chain = rep.class_chain(cls)
+            assert res.value == res.shift + brute_force_rho(rep.complex, chain)
+            XG, dec_chain = decorated_complex(rep, dec, chain)
+            assert rho(XG, dec_chain).value == res.value
 
 
 def _reference_thetas(f):
@@ -423,66 +449,3 @@ def test_sampled_negation_and_sum():
     for a, b in ((f, closed), (closed, f), (f, f)):
         with pytest.raises(MorseError, match="closed forms"):
             a.added(b)
-
-
-# -- cross-checks raise typed errors --------------------------------------------
-
-
-class _Shifted:
-    """Stands in for a SpectralResult whose value is off by one."""
-
-    def __init__(self, value):
-        self.value = value + ActionValue(1)
-
-
-def _disagreeing_engine(monkeypatch):
-    real = morse.engine_rho
-    monkeypatch.setattr(morse, "engine_rho", lambda X, cls: _Shifted(real(X, cls).value))
-
-
-def test_small_morse_mismatch_raises_morse_error(monkeypatch):
-    _disagreeing_engine(monkeypatch)
-    f = MorseFunction1D.closed_form("cos(theta)")
-    with pytest.raises(MorseError, match=r"mini-max -1 .* rho 0"):
-        rho_small_morse(f, 1, "point")
-
-
-def test_decorated_small_morse_mismatch_raises_morse_error(monkeypatch):
-    _disagreeing_engine(monkeypatch)
-    dec = DecoratedClass(make_period_group([1], [0]), [(0,), (1,)])
-    f = MorseFunction1D.closed_form("cos(theta)")
-    with pytest.raises(MorseError, match=r"value -1/4 .* rho 3/4"):
-        rho_small_morse(f, Fraction(1, 4), "point", dec)
-
-
-_UNDER_O = r"""
-import sys
-from floermini import morse
-from floermini.action import ActionValue
-from floermini.errors import MorseError
-
-class Shifted:
-    def __init__(self, value):
-        self.value = value + ActionValue(1)
-
-real = morse.engine_rho
-morse.engine_rho = lambda X, cls: Shifted(real(X, cls).value)
-f = morse.MorseFunction1D.closed_form("cos(theta)", N=1024)
-try:
-    morse.rho_small_morse(f, 1, "point")
-except MorseError:
-    print("optimize", sys.flags.optimize, "raised")
-else:
-    print("optimize", sys.flags.optimize, "silent")
-"""
-
-
-def test_small_morse_mismatch_raises_under_python_O():
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(morse.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.split() == ["optimize", "1", "raised"]

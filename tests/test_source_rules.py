@@ -1,20 +1,120 @@
 """Rules on the program's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 SOURCE_DIR = Path(__file__).parent.parent / "src" / "floermini"
 
 
+def _trees(directory=SOURCE_DIR):
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(directory.glob("*.py"))}
+    assert trees, f"no sources under {directory}"
+    return trees
+
+
 def test_no_assert_statements():
     """Runtime invariants raise typed errors: an assert vanishes under
     `python -O`."""
-    sources = sorted(SOURCE_DIR.glob("*.py"))
-    assert sources, f"no sources under {SOURCE_DIR}"
     found = {}
-    for path in sources:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees().items():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         if lines:
             found[path.name] = lines
     assert not found, f"assert statements (file: lines): {found}"
+
+
+def _exported_names(trees):
+    """Every name that some `__all__` lists, and both sides of `__init__`'s
+    `_EXPORTS` table."""
+    names = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, ast.Assign):
+                continue
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if targets & {"__all__", "_EXPORTS"}:
+                names |= {c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return names
+
+
+def _definitions(tree):
+    """(name, enclosing class or None) of every function, method and class,
+    nested ones included."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((child.name, owner))
+                visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_every_unexported_definition_is_used_in_the_program():
+    """A function, method or class that no `__all__` or `_EXPORTS` names is
+    named by the program's own code or strings (a call, an attribute, a
+    dispatch key, a message), not only by its `def` or `class` line: a
+    helper that only tests call belongs in the tests.  Dunder methods are
+    called by the language, and `Runner.task_*` by name from the config."""
+    trees = _trees()
+    exported = _exported_names(trees)
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(re.findall(r"\w+", node.value))
+    unused = sorted(
+        f"{path.name}: {name}"
+        for path, tree in trees.items()
+        for name, owner in _definitions(tree)
+        if name not in named | exported
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (owner == "Runner" and name.startswith("task_"))
+    )
+    assert not unused, f"defined but named only outside the program: {unused}"
+
+
+def test_every_error_class_is_raised():
+    """Each `FloerminiError` subclass is raised somewhere in the program; an
+    error class that nothing raises promises a failure mode that does not
+    exist."""
+    trees = _trees()
+    bases = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    errors, grew = {"FloerminiError"}, True
+    while grew:
+        new = {name for name, parents in bases.items() if parents & errors} - errors
+        errors |= new
+        grew = bool(new)
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert errors - {"FloerminiError"} - raised == set()
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject promises Python >= 3.10: no file of the program or of its
+    tests may use grammar from a later version."""
+    for directory in (SOURCE_DIR, Path(__file__).parent):
+        paths = sorted(directory.glob("*.py"))
+        assert paths, f"no sources under {directory}"
+        for path in paths:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
