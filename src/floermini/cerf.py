@@ -36,6 +36,18 @@ through `detected_slice`, so every slice is bisected by `bisect_cells`
 at `THETA_TOLERANCE`.  A branch is read off a slice as its critical point
 of the branch's index nearest the tracked theta.
 
+Between events a generic family only re-levels its complex, and the
+family is carried that way (`MorseCerfFamily.complex_at`): over the
+trivial group the boundary depends only on the slice's index sequence, so
+the slices of one sequence share one boundary object and differ only in
+their orbit levels (`FilteredComplex.relevelled`).  While each degree
+orders its levels as the previous slice of the sequence did, ties
+included, that slice's elimination carries over, and `rho` of the same
+representative reads its cached residual off the new levels.  Where the
+order changes, at a crossing or a cusp, the slice eliminates afresh; the
+vineyard updates of Cohen-Steiner, Edelsbrunner and Morozov would replace
+that by a transposition or a pair insertion.
+
 Abstract families carry explicit complexes on the grid plus a declared
 event list; genericity has no combinatorial substitute, so undeclared
 ambiguity is a refusal, never a guess.
@@ -59,6 +71,7 @@ from .morse import (
     TWO_PI,
     VALUE_QUANTUM,
     MorseFunction1D,
+    _circle_complex,
     _circle_distance,
     bisect_cells,
     build_s1_morse,
@@ -264,6 +277,7 @@ class MorseCerfFamily:
         self.grid = np.linspace(0.0, 1.0, self.eta_points)
         self._diagram = None
         self._complexes: dict = {}
+        self._shapes: dict = {}  # index sequence -> latest complex with it
         self._slices: dict = {}
         self._failed: dict = {}  # slot -> MorseError text of its detection
         self._grid_detected = False
@@ -363,10 +377,23 @@ class MorseCerfFamily:
         return self._slices[s]
 
     def complex_at(self, i: int):
-        """Morse complex report at grid index i (cached)."""
+        """Morse complex report at grid index i (cached).  The boundary
+        depends only on the slice's index sequence: the first slice of a
+        sequence is built by `build_s1_morse`, and each later one re-levels
+        the latest of them (`FilteredComplex.relevelled`), which carries
+        its decompositions over while the level order holds."""
         if i not in self._complexes:
             self.detect_grid()
-            self._complexes[i] = build_s1_morse(self.detected_slice(self.grid[i]), 1)
+            f = self.detected_slice(self.grid[i])
+            crit = f.critical_points()
+            shape = tuple(p.index for p in crit)
+            like = self._shapes.get(shape)
+            if like is None:
+                report = build_s1_morse(f, 1)
+            else:
+                report = _circle_complex(f, crit, Fraction(1), like.group, like)
+            self._shapes[shape] = report.complex
+            self._complexes[i] = report
         return self._complexes[i]
 
     def diagram(self) -> "CerfDiagram":
@@ -390,7 +417,7 @@ class MorseCerfFamily:
         lo_t, hi_t = d.tracks[src], d.tracks[dst]
         cusps = [c for c in d.cusps if self.grid[i] < c.eta < self.grid[i + 1]]
         if len(cusps) > 1:
-            raise EventError("refine the grid: two cusps in one interval")
+            raise NonCerfError("refine the grid: two cusps in one interval")
         st, dying = {"type": "pairing"}, ()
         if cusps:
             c = cusps[0]
@@ -417,16 +444,16 @@ class MorseCerfFamily:
         return np.zeros_like(thetas) + self._root.fp_eta(thetas, eta)
 
     def _eta_derivative_stats(self, eta: float):
-        """Mean of dH/deta over the theta grid, and the exact min and max
-        after subtracting it.  Sampled once per family when dH/deta has
-        no eta: every eta then gives bitwise the same floats."""
+        """Mean of dH/deta over the theta grid, and the min and max after
+        subtracting it, as floats.  Sampled once per family when dH/deta
+        has no eta: every eta then gives bitwise the same floats."""
         if self._eta_stats is not None:
             return self._eta_stats
         thetas = np.arange(self.theta_points) * (TWO_PI / self.theta_points)
         vals = self._eta_derivative(thetas, eta)
         mean = vals.mean()
         vals = vals - mean  # per-slice mean-zero normalization
-        stats = (float(mean), Fraction(float(vals.min())), Fraction(float(vals.max())))
+        stats = (float(mean), float(vals.min()), float(vals.max()))
         if self._root.eta_free:
             self._eta_stats = stats
         return stats
@@ -464,14 +491,18 @@ class MorseCerfFamily:
 
         # interval ends are shared: e1 of interval i is e0 of interval i + 1
         ends = [extrema(lo + (hi - lo) * (i / m)) for i in range(m + 1)]
+        parts: dict = {}  # (start, mid, end) extrema -> (neg, pos), each computed once
         out = []
         for i in range(m):
             e0 = lo + (hi - lo) * (i / m)
             e1 = lo + (hi - lo) * ((i + 1) / m)
-            mins, maxs = zip(ends[i], extrema(0.5 * (e0 + e1)), ends[i + 1])
-            neg = (-min(mins) + (max(mins) - min(mins))) * width
-            pos = (max(maxs) + (max(maxs) - min(maxs))) * width
-            out.append((neg, pos))
+            key = (ends[i], extrema(0.5 * (e0 + e1)), ends[i + 1])
+            part = parts.get(key)
+            if part is None:  # exact from here on: a float's Fraction is its value
+                mins, maxs = ([Fraction(x) for x in xs] for xs in zip(*key))
+                part = parts[key] = ((-min(mins) + (max(mins) - min(mins))) * width,
+                                     (max(maxs) + (max(maxs) - min(maxs))) * width)
+            out.append(part)
         if self.reversed_orientation:
             out = [(pos, neg) for neg, pos in out[::-1]]
         return out
@@ -877,7 +908,9 @@ def _detect_crossings(fam, branches, cusps):
                     etas.append(e)
                     diffs.append(va - b_values[e])
             for k in range(len(etas) - 1):
-                if diffs[k] == 0.0 or diffs[k] * diffs[k + 1] < 0:
+                if diffs[k] == 0.0:  # the branches meet at this sample
+                    eta_star = etas[k]
+                elif diffs[k] * diffs[k + 1] < 0:
                     elo, ehi = etas[k], etas[k + 1]
                     dlo = diffs[k]
                     while ehi - elo > ETA_TOLERANCE:
@@ -894,12 +927,14 @@ def _detect_crossings(fam, branches, cusps):
                         else:
                             ehi = mid
                     eta_star = 0.5 * (elo + ehi)
-                    key = (a.id, b.id, round(eta_star / (10 * ETA_TOLERANCE)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    value = branch_value_at(fam, a, eta_star)
-                    crossings.append(Crossing(eta_star, value, a.id, b.id))
+                else:
+                    continue
+                key = (a.id, b.id, round(eta_star / (10 * ETA_TOLERANCE)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                value = branch_value_at(fam, a, eta_star)
+                crossings.append(Crossing(eta_star, value, a.id, b.id))
     return crossings
 
 

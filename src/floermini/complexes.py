@@ -10,6 +10,7 @@ strictly lowers the level, and the boundary squares to zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping
 
 from .action import (
@@ -173,6 +174,7 @@ class FilteredComplex:
         self._validate()
         self._decompositions: dict = {}
         self._homology_cache = None
+        self._order = None
 
     # -- validation -------------------------------------------------------
 
@@ -194,15 +196,68 @@ class FilteredComplex:
                         raise ComplexStructureError(
                             f"entry {src}->{tgt} cap {cap} breaks the degree convention"
                         )
-                    drop = s_orb.level - t_orb.level + self.group.omega(cap)
-                    if drop.sign() <= 0:
-                        raise FiltrationError(
-                            f"entry {src}->{tgt} cap {cap} does not lower the level "
-                            f"(drop {drop!r})"
-                        )
+                    self._check_drop(src, tgt, cap)
         for src, row in self.boundary.items():
             if reduction.vec_apply(self.boundary, row):
                 raise ComplexStructureError(f"boundary does not square to zero at {src!r}")
+
+    def _check_drop(self, src, tgt, cap):
+        """The filtration axiom at one lifted entry: it lowers the level."""
+        drop = self._by_id[src].level - self._by_id[tgt].level + self.group.omega(cap)
+        if drop.sign() <= 0:
+            raise FiltrationError(
+                f"entry {src}->{tgt} cap {cap} does not lower the level (drop {drop!r})"
+            )
+
+    # -- re-levelling ----------------------------------------------------------
+
+    def relevelled(self, orbits: Iterable[Orbit]) -> "FilteredComplex":
+        """This complex with new orbit levels: the same orbit ids and indices,
+        and the same boundary object.  Its entries, their degrees and its
+        square, zero, do not depend on the levels, so only the filtration
+        (drop) check runs again.
+
+        Over the trivial group every term level is an orbit level, and the
+        elimination of a map out of degree k compares only levels inside
+        one degree.  So when each degree orders its orbit levels as this
+        complex does, ties included, every cached decomposition carries
+        over: image, kernel and kernel basis are shared, and the levels are
+        read off the new orbits.  Otherwise the new complex eliminates
+        lazily, as a fresh one would.
+        """
+        X = object.__new__(FilteredComplex)
+        X.group, X.boundary = self.group, self.boundary
+        X.orbits = tuple(sorted(orbits, key=lambda o: o.id))
+        if [(o.id, o.index) for o in X.orbits] != [(o.id, o.index) for o in self.orbits]:
+            raise ComplexStructureError("a relevelled complex keeps the orbit ids and indices")
+        X._by_id = {o.id: o for o in X.orbits}
+        for src, row in X.boundary.items():
+            for tgt, scalar in row.items():
+                for cap in scalar.num:
+                    X._check_drop(src, tgt, cap)
+        X._decompositions, X._homology_cache, X._order = {}, None, None
+        if self._decompositions and self.group.rank == 0 and X._orders_as(self._level_order()):
+            X._order = self._order
+            X._decompositions = {
+                k: dec.relevelled(X.weight, partial(X.boundary_basis, k))
+                for k, dec in self._decompositions.items()}
+        return X
+
+    def _level_order(self) -> list:
+        """Each degree's orbits in level order, ties broken by id, as the
+        consecutive pairs (a, b, tie): the preorder of the levels."""
+        if self._order is None:
+            self._order = []
+            for k in self.degrees():
+                ids = sorted(self.orbit_ids(k), key=self.weight)  # stable: ids in id order
+                self._order += [(a, b, self.weight(a) == self.weight(b))
+                                for a, b in zip(ids, ids[1:])]
+        return self._order
+
+    def _orders_as(self, order) -> bool:
+        """Whether these levels have the preorder `order` of `_level_order`."""
+        w = self.weight
+        return all(w(a) == w(b) if tie else w(a) < w(b) for a, b, tie in order)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -290,7 +345,7 @@ class FilteredComplex:
             # orthogonalize copies its inputs, so the rows are passed as they are
             cols = [(self.boundary.get(oid, {}), {oid: one}) for oid in self.orbit_ids(degree)]
             self._decompositions[degree] = reduction.Decomposition(
-                cols, self.weight, lambda: self.boundary_basis(degree))
+                cols, self.weight, partial(self.boundary_basis, degree))
         return self._decompositions[degree]
 
     def boundary_basis(self, degree: int):

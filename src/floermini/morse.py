@@ -419,14 +419,11 @@ class MorseComplexReport:
         raise MorseError(f"unknown class {name!r}")
 
 
-def _circle_complex(f, crit, eps, group) -> MorseComplexReport:
-    """Generators are the critical points at level -eps*f(p); an index-1
-    generator sends +1 to its counterclockwise index-0 neighbor and -1 to
-    the clockwise one.  On a rank-1 group a step that wraps past the domain
-    end (wrap = +-1) carries the deck cap (-wrap,): its level shifts by
-    +-omega.  An entry that does not lower the level means f's grid is too coarse."""
-    orbits = [Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index)
-              for i, p in enumerate(crit)]
+def _circle_boundary(crit, group) -> dict:
+    """An index-1 generator sends +1 to its counterclockwise index-0
+    neighbor and -1 to the clockwise one.  On a rank-1 group a step that
+    wraps past the domain end (wrap = +-1) carries the deck cap (-wrap,):
+    its level shifts by +-omega.  Only the index sequence of crit is read."""
     k = len(crit)
     boundary: dict = {}
     for i, p in enumerate(crit):
@@ -437,8 +434,22 @@ def _circle_complex(f, crit, eps, group) -> MorseComplexReport:
             cap = (-int(wrap),) if group.rank else ()
             vec_axpy(row, None, {f"c{j % k}": NovikovScalar.monomial(group, cap, coeff)})
         boundary[f"c{i}"] = row  # FilteredComplex drops an empty row
+    return boundary
+
+
+def _circle_complex(f, crit, eps, group, like=None) -> MorseComplexReport:
+    """Generators are the critical points at level -eps*f(p), with the
+    boundary of `_circle_boundary`; `like`, a complex over `group` with
+    crit's index sequence, lends its boundary, re-levelled.  An entry that
+    does not lower the level means f's grid is too coarse."""
+    orbits = [Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index)
+              for i, p in enumerate(crit)]
+    k = len(crit)
     try:
-        X = FilteredComplex(group, orbits, boundary)
+        if like is None:
+            X = FilteredComplex(group, orbits, _circle_boundary(crit, group))
+        else:
+            X = like.relevelled(orbits)
     except FiltrationError:  # the entry's drop is eps * (value_j - value_i - wrap * drift)
         i, j = next((i, j % k) for i, p in enumerate(crit) if p.index == 1
                     for j, wrap in ((i + 1, i + 1 == k), (i - 1, -(i == 0)))

@@ -182,13 +182,38 @@ class Decomposition:
     `boundaries()`, the image basis of the map into d's source, which is
     triangular already and leads the basis as it is: past the boundaries
     it holds the homology representatives.  It and the largest finite bar
-    are computed on first use.
+    are computed on first use, and so is each vector's residual against
+    the image basis (`residual`).
     """
 
     def __init__(self, columns: Iterable[tuple], weight, boundaries=list):
         self.weight = weight
         self.image, self.kernel = orthogonalize(columns, weight)
         self._boundaries = boundaries
+        self._residuals: list = []  # (vector, residual) pairs
+
+    def relevelled(self, weight, boundaries) -> "Decomposition":
+        """The same elimination read with new weights that order every
+        compared pair of coordinates as the old ones did, ties included:
+        the pivot choices, hence image, kernel, kernel basis and residuals,
+        are this decomposition's and are shared.  The largest bar reads
+        the weights and is computed again on use."""
+        out = object.__new__(Decomposition)
+        out.weight, out._boundaries = weight, boundaries
+        out.image, out.kernel, out._residuals = self.image, self.kernel, self._residuals
+        if "kernel_basis" in self.__dict__:
+            out.kernel_basis = self.kernel_basis
+        return out
+
+    def residual(self, v: Vector) -> Vector:
+        """v reduced against the image basis, its level v's distance to the
+        image; kept per v.  The caller must not modify it."""
+        for u, r in self._residuals:
+            if u == v:
+                return r
+        r, _ = reduce_vector(v, self.image)
+        self._residuals.append((dict(v), r))
+        return r
 
     @cached_property
     def kernel_basis(self) -> list:

@@ -28,7 +28,7 @@ from .errors import (
     NotACycleError,
     ZeroClassError,
 )
-from .reduction import reduce_vector, vec_axpy, vec_level, vec_scale
+from .reduction import vec_axpy, vec_level, vec_scale
 
 __all__ = [
     "SpectralResult",
@@ -99,8 +99,7 @@ def rho(X: FilteredComplex, cls) -> SpectralResult:
     deg = X.degree_of(rep)
     if deg == "mixed":
         raise DegreeError("spectral values are per-degree; filter the class first")
-    boundaries = X.boundary_basis(deg)
-    residual, _ = reduce_vector(rep.coeffs, boundaries)
+    residual = X.decomposition(deg + 1).residual(rep.coeffs)
     if not residual:
         raise ZeroClassError("the class vanishes in homology")
     tight = NovikovChain(X.group, residual)

@@ -23,13 +23,15 @@ from floermini.cerf import (
 from floermini.complexes import FilteredComplex, Orbit
 from floermini.continuation import ChainMap, continuation_map, rho_curve, solve_chain_homotopy
 from floermini.errors import EventError, MorseError, NonCerfError, RankMismatchError
-from floermini.morse import MorseFunction1D, _quantize
+from floermini.morse import MorseFunction1D, _quantize, build_s1_morse
+from floermini.spectral import rho
 from test_morse import _GRID_POINT, _shifted_sine, _trig as _trig_text
 
 BD_FAMILY = "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)"
 TWO_EVENT_FAMILY = (
     "(1-eta)*cos(theta) + eta*(3/2*cos(2*theta - 7/10) - 3/10*cos(3*theta))"
 )
+SLOPE_FAMILY = "cos(theta) + eta*(1/4*sin(2*theta) + 1/5*cos(3*theta))"
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +140,101 @@ class TestMirror:
         try:
             assume(classify_events(fam.diagram()).ok)  # a flagged diagram exits 2
             _assert_mirror_symmetric(fam)
-        except (NonCerfError, EventError):  # refused: not Cerf, or two cusps in one interval
+        except NonCerfError:  # refused: not Cerf, or two cusps in one interval
             assume(False)
+
+    def test_zero_sampled_difference_is_a_crossing_at_that_sample(self):
+        # H1 is symmetric under theta -> pi - theta, so two pairs of branches
+        # touch at eta = 1/2, a grid point of both grids: their sampled
+        # difference is exactly 0.0 there and of one sign on both sides
+        h0, h1 = (hofer.random_trig_function(random.Random(seed))[0] for seed in (0, 13524))
+        for eta_points in (65, 129):
+            fam = MorseCerfFamily(f"({h0}) + 4*eta*(1 - eta)*(({h1}) - ({h0}))",
+                                  eta_points=eta_points, theta_points=4096)
+            d = fam.diagram()
+            assert sorted((c.eta, c.branch_a, c.branch_b) for c in d.crossings
+                          if abs(c.eta - 0.5) < 0.1) == [(0.5, "b1", "b3"), (0.5, "b4", "b7")]
+            violations = classify_events(d).violations
+            assert violations.count("degenerate crossing at eta=0.500000: equal slopes") == 2
+
+
+def _rows(reduced):
+    return [(r.pivot, r.vec, r.companion) for r in reduced]
+
+
+def _assert_carried_as_fresh(fam) -> int:
+    """Each grid slice's complex, its decompositions and its rho of the
+    point class, as the family carries them along the grid, equal those of
+    a fresh `build_s1_morse` of the slice.  Returns the number of slices
+    that share their predecessor's image basis."""
+    curve = rho_curve(fam, "point")  # in grid order, as a run builds them
+    carried = 0
+    for i, (_, res) in enumerate(curve):
+        X = fam.chain_complex(i)
+        Y = build_s1_morse(fam.detected_slice(fam.grid[i]), 1).complex
+        assert X.dump() == Y.dump()  # levels and boundary
+        for k in Y.degrees():
+            a, b = X.decomposition(k), Y.decomposition(k)
+            assert _rows(a.image) == _rows(b.image)
+            assert a.kernel == b.kernel
+            assert _rows(a.kernel_basis) == _rows(b.kernel_basis)
+            assert a.largest_bar == b.largest_bar
+        fresh = rho(Y, fam.class_at(i, "point"))
+        assert res.value == fresh.value
+        assert res.tight_cycle == fresh.tight_cycle
+        assert res.witness == fresh.witness
+        if i and X.decomposition(1).image is fam.chain_complex(i - 1).decomposition(1).image:
+            carried += 1
+    return carried
+
+
+class TestCarriedFamily:
+    """Between events a slice only re-levels its predecessor's complex: the
+    boundary is shared, and the elimination carries while the level order
+    holds."""
+
+    @pytest.mark.parametrize("expr", [TWO_EVENT_FAMILY, BD_FAMILY, SLOPE_FAMILY],
+                             ids=["two_event", "birth_death", "slope"])
+    def test_carried_slices_equal_fresh_builds(self, expr):
+        fam = MorseCerfFamily(expr, eta_points=65, theta_points=4096)
+        assert _assert_carried_as_fresh(fam) >= 60
+        shared = sum(fam.chain_complex(i).boundary is fam.chain_complex(i - 1).boundary
+                     for i in range(1, 65))
+        assert shared >= 62
+
+    @settings(max_examples=12)
+    @given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_palindromic_families_carry_as_fresh_builds(self, seeds):
+        h0, h1 = (hofer.random_trig_function(random.Random(seed))[0] for seed in seeds)
+        fam = _palindromic(h0, h1)
+        try:
+            fam.detect_grid()
+            carried = _assert_carried_as_fresh(fam)
+        except MorseError:  # a slice without critical points: not a family to carry
+            assume(False)
+        assert carried > 0
+
+    @pytest.mark.parametrize("expr", [
+        TWO_EVENT_FAMILY, BD_FAMILY, SLOPE_FAMILY,
+        f"({TestMirror.H0}) + 4*eta*(1 - eta)*(({TestMirror.H1}) - ({TestMirror.H0}))"],
+        ids=["two_event", "birth_death", "slope", "mirror"])
+    def test_rho_follows_one_branch_between_events(self, expr):
+        """The structure theorem made visible: rho's witness orbit, read as a
+        branch of the diagram, changes only across a grid interval that
+        holds a cusp or a crossing."""
+        fam = MorseCerfFamily(expr, eta_points=65, theta_points=4096)
+        d = fam.diagram()
+        events = [c.eta for c in d.cusps] + [c.eta for c in d.crossings]
+        branch = []
+        for i, (_, res) in enumerate(rho_curve(fam, "point")):
+            by_orbit = {orbit: b for b, orbit in d.tracks[i].items()}
+            branch.append(by_orbit[res.witness[0]])
+        lo, hi = fam.grid[:-1], fam.grid[1:]
+        changes = [i for i in range(64) if branch[i] != branch[i + 1]]
+        for i in changes:
+            assert any(lo[i] <= e <= hi[i] for e in events), (i, branch[i], branch[i + 1])
+        if expr == TWO_EVENT_FAMILY:  # rho moves onto the other maximum at the crossing
+            assert [(branch[i], branch[i + 1]) for i in changes] == [("b0", "b2")]
 
 
 class TestClassify:

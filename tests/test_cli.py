@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from floermini import hofer
 from floermini.cli import main, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -532,6 +534,23 @@ class TestRun:
         assert err["message"].startswith("crossing search of branches b0 and b2 at eta=")
         assert "lost the critical point near theta=" in err["message"]
         assert err["message"].endswith("; refine the eta grid")
+
+    def test_two_cusps_in_one_interval_is_a_validation_error(self, tmp_path, capsys):
+        # the palindromic family of hofer.random_trig_function seeds 0 and
+        # 69282: its two births, at eta 0.185091 and 0.185255, share an interval
+        h0, h1 = (hofer.random_trig_function(random.Random(seed))[0] for seed in (0, 69282))
+        family = {"kind": "closed_form", "eta_points": 65, "theta_points": 4096,
+                  "expr": f"({h0}) + 4*eta*(1 - eta)*(({h1}) - ({h0}))"}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"family": family, "classes": ["point"],
+                                 "tasks": ["diagram", "rho_curve", "continuation"]}))
+        assert run(p, tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "validation",
+                       "message": "refine the grid: two cusps in one interval"}
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["results"]["validation_error"] == err["message"]
+        assert report["results"]["diagram"]["valid"]
 
     def test_crossing_search_follows_a_fast_branch(self, tmp_path):
         """The branches of cos(2 theta + 4 eta) turn 2 rad per unit eta: a

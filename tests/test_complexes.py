@@ -17,6 +17,7 @@ from floermini.errors import (
     FiltrationError,
     NotACycleError,
 )
+from floermini.spectral import rho
 
 
 def sqrt2(scale=1):
@@ -220,3 +221,53 @@ class TestSerialization:
         X, G = c_gamma
         X2 = FilteredComplex.from_json(G, X.to_json())
         assert X2.dump() == X.dump()
+
+
+class TestRelevelled:
+    """A re-levelled complex shares the boundary and, while each degree
+    orders its levels as before, the elimination."""
+
+    def test_same_order_carries_the_elimination(self, c3, trivial_group):
+        y = NovikovChain.unit(trivial_group, "y")
+        before = rho(c3, y)
+        X = c3.relevelled([Orbit("x", 4, 1), Orbit("y", 5, 1), Orbit("w", 7, 2)])
+        assert X.boundary is c3.boundary
+        assert X.decomposition(2).image is c3.decomposition(2).image
+        assert X.decomposition(2).residual(y.coeffs) is c3.decomposition(2).residual(y.coeffs)
+        # values are read off the new levels
+        after = rho(X, y)
+        assert (before.value, after.value) == (ActionValue(3), ActionValue(4))
+        assert before.tight_cycle == after.tight_cycle
+        assert before.witness == after.witness == ("x", ())
+        assert c3.decomposition(2).largest_bar == ActionValue(1)
+        assert X.decomposition(2).largest_bar == ActionValue(2)
+
+    def test_changed_order_eliminates_afresh(self, c3):
+        assert c3.decomposition(2).image[0].pivot == "y"
+        # x and y now tie: the pivot falls to the smaller id, as in a fresh complex
+        orbits = [Orbit("x", 5, 1), Orbit("y", 5, 1), Orbit("w", 6, 2)]
+        X = c3.relevelled(orbits)
+        fresh = FilteredComplex(c3.group, orbits, c3.boundary)
+        assert X.decomposition(2).image is not c3.decomposition(2).image
+        assert [r.pivot for r in X.decomposition(2).image] == ["x"]
+        assert [r.pivot for r in fresh.decomposition(2).image] == ["x"]
+
+    def test_nontrivial_group_eliminates_afresh(self, c_gamma):
+        X, G = c_gamma
+        X.decomposition(1)
+        orbits = [Orbit("x1", 0, 0), Orbit("x2", Fraction(3, 10), 0), Orbit("y", 2, 1)]
+        Y = X.relevelled(orbits)
+        assert Y.decomposition(1).image is not X.decomposition(1).image
+        fresh = FilteredComplex(G, orbits, X.boundary).decomposition(1).image
+        assert [(r.pivot, r.vec) for r in Y.decomposition(1).image] == \
+            [(r.pivot, r.vec) for r in fresh]
+
+    def test_levels_that_do_not_lower_are_refused(self, c3):
+        with pytest.raises(FiltrationError, match=r"entry w->y cap \(\) does not lower"):
+            c3.relevelled([Orbit("x", 3, 1), Orbit("y", 7, 1), Orbit("w", 6, 2)])
+
+    def test_ids_and_indices_are_kept(self, c3):
+        with pytest.raises(ComplexStructureError, match="keeps the orbit ids and indices"):
+            c3.relevelled([Orbit("x", 3, 1), Orbit("y", 5, 0), Orbit("w", 6, 2)])
+        with pytest.raises(ComplexStructureError, match="keeps the orbit ids and indices"):
+            c3.relevelled([Orbit("x", 3, 1), Orbit("w", 6, 2)])

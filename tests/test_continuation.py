@@ -415,7 +415,14 @@ class TestTransfer:
         monkeypatch.setattr(ChainMap, "verify", counting)
         maps = step_maps(fam, reverse=True)
         assert len(maps) == 64
-        assert verified == maps
+        # the one event step is verified by scalar arithmetic; a pairing
+        # step is a chain map because its table carries one boundary onto
+        # the other, and it passes the scalar check too
+        events = [h for h, i in zip(maps, range(63, -1, -1))
+                  if fam.step(i, reverse=True)["type"] != "pairing"]
+        assert len(events) == 1
+        assert verified == events
+        assert all(real(h) for h in maps)
         assert maps[0].source is fam.complex_at(64).complex
         assert maps[-1].target is fam.complex_at(0).complex
 

@@ -12,12 +12,14 @@ from floermini.action import ActionValue, make_period_group
 from floermini.cerf import MorseCerfFamily
 from floermini.errors import MorseError, PairingError
 from floermini.morse import (
+    CriticalPoint,
     DecoratedClass,
     THETA_TOLERANCE,
     MorseFunction1D,
     build_circle_valued,
     build_s1_morse,
     canonical_pairing,
+    _circle_complex,
     rho_small_morse,
 )
 from floermini.spectral import rho
@@ -112,6 +114,21 @@ class TestBuildS1:
         rep = build_s1_morse(f, eps)
         for i, p in enumerate(rep.critical_points):
             assert rep.complex.orbit(f"c{i}").level == ActionValue.rational(-eps * p.value)
+
+    def test_relevelled_slice_refuses_with_the_fresh_text(self):
+        # a complex lends its boundary to critical points of the same index
+        # sequence; levels that do not lower it get the fresh build's MorseError
+        f = MorseFunction1D.closed_form("cos(2*theta)", N=1024)
+        crit = f.critical_points()
+        G = make_period_group([], [])
+        like = _circle_complex(f, crit, Fraction(1), G).complex
+        swapped = [CriticalPoint(p.theta, -p.value, p.index, -p.raw_value) for p in crit]
+        with pytest.raises(MorseError) as fresh:
+            _circle_complex(f, swapped, Fraction(1), G)
+        with pytest.raises(MorseError) as carried:
+            _circle_complex(f, swapped, Fraction(1), G, like)
+        assert str(carried.value) == str(fresh.value)
+        assert "do not lower the level on a 1024-point grid" in str(fresh.value)
 
 
 class TestCircleValued:
