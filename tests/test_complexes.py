@@ -230,9 +230,11 @@ class TestRelevelled:
     def test_same_order_carries_the_elimination(self, c3, trivial_group):
         y = NovikovChain.unit(trivial_group, "y")
         before = rho(c3, y)
+        kernel_basis = c3.decomposition(1).kernel_basis
         X = c3.relevelled([Orbit("x", 4, 1), Orbit("y", 5, 1), Orbit("w", 7, 2)])
         assert X.boundary is c3.boundary
         assert X.decomposition(2).image is c3.decomposition(2).image
+        assert X.decomposition(1).kernel_basis is kernel_basis
         assert X.decomposition(2).residual(y.coeffs) is c3.decomposition(2).residual(y.coeffs)
         # values are read off the new levels
         after = rho(X, y)
