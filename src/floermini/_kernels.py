@@ -29,12 +29,7 @@ def curvature_flags(a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
     return (np.abs(b - _zero_as_crossing(a, b)) >= margin).astype(np.int64)
 
 
-def critical_cells(deriv: np.ndarray, margin: float):
-    """Indices i where the periodic derivative changes sign on (i, i+1).
-
-    Second array flags cells whose discrete curvature clears `margin`.
-    """
+def critical_cells(deriv: np.ndarray) -> np.ndarray:
+    """Indices i where the periodic derivative changes sign on (i, i+1)."""
     deriv = np.asarray(deriv, dtype=np.float64)
-    b = np.roll(deriv, -1)
-    cells = np.nonzero(crossings(deriv, b))[0]
-    return cells.astype(np.int64), curvature_flags(deriv[cells], b[cells], margin)
+    return np.nonzero(crossings(deriv, np.roll(deriv, -1)))[0].astype(np.int64)

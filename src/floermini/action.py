@@ -888,14 +888,7 @@ class NovikovScalar:
         out: dict = {}
         reach = self.valuation()
         while True:
-            for c, v in acc.items():
-                if self.group.omega(c) <= window:
-                    s = out.get(c)
-                    s = v if s is None else s + v
-                    if s:
-                        out[c] = s
-                    elif c in out:
-                        del out[c]
+            out = _terms_add(out, {c: v for c, v in acc.items() if self.group.omega(c) <= window})
             reach = reach + delta
             if isinstance(window, _Infinity):
                 raise ZeroScalarError("cannot materialize an infinite window")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .continuation import (
     variation_bounds,
 )
 from .errors import ConfigError, FloerminiError, NonCerfError
-from .hofer import gamma as hofer_gamma
+from .hofer import gamma as hofer_gamma, pair_check, random_trig_function
 from .morse import THETA_TOLERANCE, VALUE_QUANTUM, build_circle_valued, build_s1_morse
 from .render import render_curve_svg, render_diagram_svg
 from .spectral import rho, spectrality_certificate
@@ -240,27 +241,15 @@ class Runner:
     def _hofer_sweep(self, count: int):
         """Random-pair property table: unit-class values of f, g and f+g,
         the subadditivity verdict, and the continuity bound per row."""
-        import random
-        from fractions import Fraction
-
-        from .hofer import hofer_quantities, random_trig_function, rho_unit
-
         rng = random.Random(self.cfg.seed)
-        slack = Fraction(4, 10**12)
         rows = []
         while len(rows) < count:
             try:
                 expr_f, f = random_trig_function(rng)
                 expr_g, g = random_trig_function(rng)
-                rf = rho_unit(f, self.cfg.eps)
-                rg = rho_unit(g, self.cfg.eps)
-                rsum = rho_unit(f.added(g), self.cfg.eps)
-                _, _, dist = hofer_quantities(f.added(g.negated()), self.cfg.eps)
+                rf, rg, rsum, _, subadditive, continuous = pair_check(f, g, self.cfg.eps)
             except FloerminiError:
                 continue
-            subadditive = rsum <= rf + rg + ActionValue.rational(slack)
-            gap = rf - rg
-            mag = gap if gap >= ActionValue.rational(0) else -gap
             rows.append((
                 expr_f.replace(",", ";"),
                 expr_g.replace(",", ";"),
@@ -268,7 +257,7 @@ class Runner:
                 _fmt_float(float(rg)),
                 _fmt_float(float(rsum)),
                 int(subadditive),
-                int(mag <= dist + ActionValue.rational(slack)),
+                int(continuous),
             ))
         _write(
             self.out / "hofer_sweep.csv",

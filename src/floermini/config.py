@@ -17,6 +17,12 @@ KNOWN_TASKS = ("rho", "spectrum", "diagram", "continuation", "rho_curve", "hofer
 KNOWN_FIELDS = ("tasks", "period_group", "seed", "grid", "eps", "classes", "out",
                 "ghost_translates", "hofer_sweep", "complex", "morse_function", "family")
 
+# the largest sizes a config may ask for, checked before anything is
+# allocated: a run then ends in bounded time and memory, or is refused
+MAX_THETA_POINTS = 1 << 18
+MAX_ETA_POINTS = 4097
+MAX_HOFER_SWEEP = 1000
+
 
 class RunConfig:
     """Validated run settings.  `eta_grid`, when given (the CLI's --grid),
@@ -43,11 +49,14 @@ class RunConfig:
         grid = raw.get("grid", {})
         if not isinstance(grid, Mapping):
             raise ConfigError("field 'grid' must be an object")
-        self.theta_grid = _size("grid.theta", grid.get("theta", DEFAULT_GRID))
+        self.theta_grid = _size("grid.theta", grid.get("theta", DEFAULT_GRID),
+                                MAX_THETA_POINTS)
         self.eta_forced = eta_grid is not None
         self.eta_grid = _size("grid.eta", eta_grid if self.eta_forced
-                              else grid.get("eta", DEFAULT_ETA_GRID))
+                              else grid.get("eta", DEFAULT_ETA_GRID), MAX_ETA_POINTS)
         self.eps = _fraction("eps", raw.get("eps", 1))
+        if self.eps <= 0:
+            raise ConfigError("field 'eps' must be positive")
         self.classes = raw.get("classes", "all")
         if self.classes != "all" and not (
             isinstance(self.classes, list) and self.classes
@@ -58,7 +67,8 @@ class RunConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("field 'out' must be a directory path")
         self.ghost_translates = _integer("ghost_translates", raw.get("ghost_translates", 0))
-        self.hofer_sweep = _size("hofer_sweep", raw.get("hofer_sweep", 0), least=0)
+        self.hofer_sweep = _size("hofer_sweep", raw.get("hofer_sweep", 0), MAX_HOFER_SWEEP,
+                                 least=0)
 
         sources = [k for k in ("complex", "morse_function", "family") if k in raw]
         if len(sources) > 1:
@@ -103,11 +113,13 @@ class RunConfig:
         if kind == "closed_form":
             if "expr" not in spec:
                 raise ConfigError("closed_form family needs 'expr'")
-            eta_points = _size("eta_points", spec.get("eta_points", self.eta_grid))
+            eta_points = _size("eta_points", spec.get("eta_points", self.eta_grid),
+                               MAX_ETA_POINTS)
             return MorseCerfFamily(
                 spec["expr"],
                 eta_points=self.eta_grid if self.eta_forced else eta_points,
-                theta_points=_size("theta_points", spec.get("theta_points", self.theta_grid)),
+                theta_points=_size("theta_points", spec.get("theta_points", self.theta_grid),
+                                   MAX_THETA_POINTS),
             )
         if kind == "abstract":
             steps, bounds = spec.get("steps", []), spec.get("bounds", [])
@@ -132,7 +144,8 @@ def _function_from_json(spec: Mapping, default_grid: int) -> MorseFunction1D:
         if "expr" not in spec:
             raise ConfigError("closed_form function needs 'expr'")
         return MorseFunction1D.closed_form(
-            spec["expr"], N=_size("grid", spec.get("grid", default_grid)), drift=drift
+            spec["expr"], N=_size("grid", spec.get("grid", default_grid), MAX_THETA_POINTS),
+            drift=drift
         )
     if kind == "samples":
         values = spec.get("values")
@@ -162,11 +175,13 @@ def _integer(field: str, value) -> int:
     return value
 
 
-def _size(field: str, value, least=1) -> int:
+def _size(field: str, value, most: int, least=1) -> int:
     n = _integer(field, value)
     if n < least:
         kind = "positive" if least == 1 else "non-negative"
         raise ConfigError(f"field {field!r} must be a {kind} integer")
+    if n > most:
+        raise ConfigError(f"field {field!r} is {n}, above the largest allowed, {most}")
     return n
 
 

@@ -356,8 +356,10 @@ def dichotomy_constant(fam) -> ActionValue:
 
     Connections inside a tracked bifurcation pair are excluded: their
     drops vanish at the cusp by design, while the dichotomy constant
-    measures the energy floor of all the other trajectories.  Sub-runs
-    reuse the parent constant, so restriction never shrinks it.
+    measures the energy floor of all the other trajectories.  The minimum
+    runs over this family's own grid only: a sub-family (`sub_family`)
+    computes its constant on its own grid, and it can be smaller or
+    larger than the parent's.
     """
     best = POS_INFINITY
     for i in range(len(fam.grid)):

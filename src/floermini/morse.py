@@ -37,7 +37,6 @@ __all__ = [
     "Pairing",
     "build_s1_morse",
     "build_circle_valued",
-    "canonical_pairing",
     "rho_small_morse",
 ]
 
@@ -244,26 +243,25 @@ class MorseFunction1D:
         slope = float(drift) / TWO_PI
         deriv = (np.roll(values, -1) - np.roll(values, 1)) / (2 * h)
 
-        def f(t):
-            t = np.asarray(t, dtype=float)
+        def interpolate(table, t):
             x = np.mod(t, TWO_PI) / h
             i = np.floor(x).astype(int) % N
             frac = x - np.floor(x)
-            periodic = values[i] * (1 - frac) + values[(i + 1) % N] * frac
-            return periodic - slope * t
+            return table[i] * (1 - frac) + table[(i + 1) % N] * frac
+
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return interpolate(values, t) - slope * t
 
         def fp(t):
             t = np.asarray(t, dtype=float)
-            x = np.mod(t, TWO_PI) / h
-            i = np.floor(x).astype(int) % N
-            frac = x - np.floor(x)
-            return deriv[i] * (1 - frac) + deriv[(i + 1) % N] * frac - slope
+            return interpolate(deriv, t) - slope
 
         return cls(f, fp, N=N, drift=drift, samples=values)
 
     # -- algebra on closed forms ------------------------------------------------
     # negated() and added() reuse the parents' callables: no sympy diff and
-    # no compile, while expr keeps the closed form for rotated() and reports.
+    # no compile, while expr keeps the closed form for reports.
 
     def negated(self) -> "MorseFunction1D":
         if self.expr is None:
@@ -292,15 +290,6 @@ class MorseFunction1D:
             expr=self.expr + other.expr,
         )
 
-    def rotated(self, phi: float) -> "MorseFunction1D":
-        if self.expr is None:
-            raise MorseError("rotation requires a closed form")
-        if self.drift != 0:
-            raise MorseError("rotation of a drift function is not supported")
-        return MorseFunction1D.closed_form(
-            self.expr.subs(_THETA, _THETA + sp.nsimplify(phi, rational=True)), N=self.N
-        )
-
     # -- evaluation -------------------------------------------------------------
 
     def grid(self) -> np.ndarray:
@@ -327,9 +316,8 @@ class MorseFunction1D:
 
     def _scan(self, deriv: np.ndarray, mean: Fraction | None = None):
         """`_check_cells` of the critical cells of the whole grid f' in
-        deriv, found by `_kernels.critical_cells`; their curvature flags
-        are the checks' to read."""
-        cells, _ = _kernels.critical_cells(deriv, 0.0)
+        deriv, found by `_kernels.critical_cells`."""
+        cells = _kernels.critical_cells(deriv)
         return self._check_cells(deriv, cells, deriv[cells], deriv[(cells + 1) % self.N], mean)
 
     def _check_cells(self, sampled, cells, flo, fhi, mean: Fraction | None = None):
@@ -496,12 +484,11 @@ def build_circle_valued(f: MorseFunction1D, eps=1) -> MorseComplexReport:
 class Pairing:
     """Index-preserving bijection between critical point sets."""
 
-    __slots__ = ("pairs", "max_distance", "radius")
+    __slots__ = ("pairs", "max_distance")
 
-    def __init__(self, pairs, max_distance, radius):
+    def __init__(self, pairs, max_distance):
         self.pairs = pairs
         self.max_distance = max_distance
-        self.radius = radius
 
     def __iter__(self):
         return iter(self.pairs)
@@ -515,32 +502,26 @@ def _circle_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def canonical_pairing(f1: MorseFunction1D, f2: MorseFunction1D, radius=None) -> Pairing:
-    """Pair each critical point with its unique nearest same-index partner.
+def pair_critical_lists(c1, c2) -> Pairing:
+    """Pair each critical point of c1 with its unique nearest same-index
+    partner in c2.
 
     Refuses (PairingError) on count mismatch or ambiguity within the
     separation radius: both signal that the pair straddles a bifurcation.
     """
-    c1 = f1.critical_points()
-    c2 = f2.critical_points()
-    return pair_critical_lists(c1, c2, radius)
-
-
-def pair_critical_lists(c1, c2, radius=None) -> Pairing:
     if len(c1) != len(c2):
         raise PairingError(f"critical point counts differ: {len(c1)} vs {len(c2)}")
-    if radius is None:
-        # separation scale: nearest same-index neighbors (a freshly born
-        # max/min pair sits arbitrarily close but has distinct indices)
-        gaps = []
-        for idx in (0, 1):
-            thetas = sorted(p.theta for p in c1 if p.index == idx)
-            if len(thetas) > 1:
-                gaps += [
-                    _circle_distance(thetas[i], thetas[(i + 1) % len(thetas)])
-                    for i in range(len(thetas))
-                ]
-        radius = min(gaps) / 2 if gaps else math.pi
+    # separation radius: half the nearest same-index neighbors' distance (a
+    # freshly born max/min pair sits arbitrarily close but has distinct indices)
+    gaps = []
+    for idx in (0, 1):
+        thetas = sorted(p.theta for p in c1 if p.index == idx)
+        if len(thetas) > 1:
+            gaps += [
+                _circle_distance(thetas[i], thetas[(i + 1) % len(thetas)])
+                for i in range(len(thetas))
+            ]
+    radius = min(gaps) / 2 if gaps else math.pi
     pairs = []
     used = set()
     worst = 0.0
@@ -560,7 +541,7 @@ def pair_critical_lists(c1, c2, radius=None) -> Pairing:
         used.add(j)
         pairs.append((i, j))
         worst = max(worst, dist)
-    return Pairing(pairs, worst, radius)
+    return Pairing(pairs, worst)
 
 
 # ---------------------------------------------------------------------------

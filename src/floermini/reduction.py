@@ -165,9 +165,9 @@ def reduce_vector(v: Vector, reduced: list):
     return v, coeffs
 
 
-def combination(coeffs: list, reduced: list, attr: str = "companion") -> Vector:
-    """sum coeff_i * getattr(reduced_i, attr) skipping None coefficients."""
-    return vec_apply({i: getattr(r, attr) for i, r in enumerate(reduced)},
+def combination(coeffs: list, reduced: list) -> Vector:
+    """sum coeff_i * companion_i over reduced, skipping None coefficients."""
+    return vec_apply({i: r.companion for i, r in enumerate(reduced)},
                      {i: c for i, c in enumerate(coeffs) if c is not None})
 
 

@@ -13,13 +13,17 @@ preimages for rho and the equal-level corrections, the level-minimal
 preimage for the bounded solve, and the largest finite bar, the worst
 overhead of a minimal preimage, for the overhead constant.  That constant
 is the boundary depth of the complex.
+
+Peak avoidance (the paper's spectrality argument: move a tight cycle's
+peak off the bifurcation pair by equal-level boundary corrections) reads
+the corrections from the image basis and finds their coefficients with
+the same elimination, a `Decomposition` over the trivial group, where
+the scalars are the rationals of the top level slice.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .action import NEG_INFINITY, NovikovScalar
+from .action import NEG_INFINITY, ActionValue, NovikovScalar, make_period_group
 from .complexes import FilteredComplex, HomologyClass, NovikovChain
 from .errors import (
     ComplexStructureError,
@@ -28,7 +32,7 @@ from .errors import (
     NotACycleError,
     ZeroClassError,
 )
-from .reduction import vec_axpy, vec_level, vec_scale
+from .reduction import Decomposition, vec_axpy, vec_level, vec_scale
 
 __all__ = [
     "SpectralResult",
@@ -41,6 +45,11 @@ __all__ = [
     "equal_level_corrections",
     "peak_avoidance_check",
 ]
+
+# peak avoidance's system is rational: over the trivial group a scalar is
+# one rational coefficient
+_RATIONALS = make_period_group([], [])
+_ZERO = ActionValue.rational(0)
 
 
 class SpectralResult:
@@ -203,26 +212,29 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
     value = res.value
     coords = _slice_coordinates(X, deg, value)
     marked_coords = [(oid, cap) for (oid, cap) in coords if oid in marked]
-    r_slice = _slice_vector(X, res.tight_cycle.coeffs, coords)
-    if all(r_slice.get(mc, Fraction(0)) == 0 for mc in marked_coords):
-        return True, res.tight_cycle
 
-    # rational elimination of the marked slice coordinates by the
-    # equal-level corrections
-    adjusters = [
-        (shifted, _slice_vector(X, shifted, coords))
-        for shifted in equal_level_corrections(X, deg, value)
-    ]
-    sol = _solve_rational(
-        [[sl.get(mc, Fraction(0)) for mc in marked_coords] for _, sl in adjusters],
-        [r_slice.get(mc, Fraction(0)) for mc in marked_coords],
-    )
+    def marked_slice(vec: dict) -> dict:
+        sl = _slice_vector(X, vec, coords)
+        return {mc: NovikovScalar.monomial(_RATIONALS, (), sl[mc])
+                for mc in marked_coords if mc in sl}
+
+    target = marked_slice(res.tight_cycle.coeffs)
+    if not target:
+        return True, res.tight_cycle
+    # the equal-level corrections that cancel the marked slice coordinates,
+    # found by elimination at one constant level
+    corrections = list(equal_level_corrections(X, deg, value))
+    one = NovikovScalar.one(_RATIONALS)
+    sol = Decomposition(
+        [(marked_slice(c), {j: one}) for j, c in enumerate(corrections)],
+        lambda k: _ZERO,
+    ).some_preimage(target)
     if sol is None:
         return False, res.tight_cycle
     adjusted_vec = dict(res.tight_cycle.coeffs)
-    for a, (shifted, _) in zip(sol, adjusters):
-        if a:
-            vec_axpy(adjusted_vec, None, {k: s.scale(-a) for k, s in shifted.items()})
+    for j, a in sol.items():
+        _, c = a.leading_term()
+        vec_axpy(adjusted_vec, None, {k: s.scale(-c) for k, s in corrections[j].items()})
     adjusted = NovikovChain(X.group, adjusted_vec)
     level = X.level(adjusted)
     if level != value:
@@ -235,38 +247,3 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
             f"peak-avoiding cycle still peaks at marked orbits {pinned}"
         )
     return True, adjusted
-
-
-def _solve_rational(columns: list, target: list):
-    """Solve sum a_j col_j = target over Q; None when inconsistent."""
-    m = len(target)
-    n = len(columns)
-    aug = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    return sol

@@ -12,15 +12,21 @@ plain Morse complex plus the top decoration level, and the engine's rho
 on the complex that `decorated_complex` builds over the decorations'
 group.  `check_lipschitz` tests a transferred level curve against its
 variation bounds pair by pair.
+
+`solve_rational` is plain Gauss-Jordan over Q, the reference for the
+engine's solve of peak avoidance's marked-slice system, and `rotated`
+relabels the circle coordinate of a closed form for the relabeling check.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import sympy as sp
 
 from floermini.action import NEG_INFINITY, ActionValue, NovikovScalar
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
+from floermini.morse import MorseFunction1D
 
 
 def min_positive_combination(v1: float, v2: float, bound: int) -> float:
@@ -225,3 +231,47 @@ def check_lipschitz(curve):
             if diff > e or -diff > e:
                 return False, (i, j, diff, e)
     return True, None
+
+
+def solve_rational(columns: list, target: list):
+    """Solve sum a_j col_j = target over Q by Gauss-Jordan elimination; a
+    list of the a_j, free ones 0, or None when inconsistent."""
+    m = len(target)
+    n = len(columns)
+    aug = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        sel = None
+        for r in range(row, m):
+            if aug[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if aug[r][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][n]
+    return sol
+
+
+def rotated(f: MorseFunction1D, phi: float) -> MorseFunction1D:
+    """The closed form f(theta + phi), phi read as a rational, on f's grid."""
+    theta = sp.Symbol("theta")
+    return MorseFunction1D.closed_form(
+        f.expr.subs(theta, theta + sp.nsimplify(phi, rational=True)), N=f.N
+    )

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from floermini import hofer
+from floermini import config, hofer
 from floermini.cli import main, run
+from floermini.config import MAX_ETA_POINTS, MAX_HOFER_SWEEP, MAX_THETA_POINTS, RunConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -210,6 +211,60 @@ class TestRun:
         assert set(err) == {"error", "message"}
         assert err["error"] == "schema"
         assert f"{field!r}" in err["message"]
+
+    @pytest.mark.parametrize("config_,flags,field", [
+        pytest.param(dict(FUNCTION_CFG, morse_function=dict(COS, grid=10**15)), [], "grid",
+                     id="function-grid-huge"),
+        pytest.param(dict(FUNCTION_CFG, morse_function=dict(COS, grid=MAX_THETA_POINTS + 1)),
+                     [], "grid", id="function-grid"),
+        pytest.param({"tasks": ["rho"], "morse_function": {"expr": "cos(theta)"},
+                      "grid": {"theta": MAX_THETA_POINTS + 1}}, [], "grid.theta",
+                     id="grid-theta"),
+        pytest.param({"tasks": ["rho"], "complex": POINT, "grid": {"eta": MAX_ETA_POINTS + 1}},
+                     [], "grid.eta", id="grid-eta"),
+        pytest.param({"tasks": ["rho"], "complex": POINT}, ["--grid", str(MAX_ETA_POINTS + 1)],
+                     "grid.eta", id="grid-flag"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], theta_points=10**15)),
+                     [], "theta_points", id="theta-points"),
+        pytest.param(dict(FAMILY_CFG, family=dict(FAMILY_CFG["family"], eta_points=10**15)),
+                     [], "eta_points", id="eta-points"),
+        pytest.param(dict(FUNCTION_CFG, hofer_sweep=MAX_HOFER_SWEEP + 1), [], "hofer_sweep",
+                     id="hofer-sweep"),
+        pytest.param(dict(FUNCTION_CFG, eps="-1/2"), [], "eps", id="eps-negative"),
+        pytest.param(dict(FUNCTION_CFG, eps=0), [], "eps", id="eps-zero"),
+    ])
+    def test_sizes_above_the_caps_are_refused_before_any_build(self, tmp_path, capsys,
+                                                                monkeypatch, config_, flags,
+                                                                field):
+        """Each size is capped and eps must be positive: a run asking for
+        more exits 1 with a "schema" error, and no function or family is
+        built, so nothing the size would allocate is."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the config check")
+
+        monkeypatch.setattr(config, "MorseCerfFamily", refuse)
+        monkeypatch.setattr(config.MorseFunction1D, "closed_form", refuse)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config_))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")] + flags) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "schema"
+        assert f"{field!r}" in err["message"]
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_sizes_at_the_caps_are_admitted(self):
+        raw = {"tasks": ["rho"], "morse_function": dict(COS, grid=MAX_THETA_POINTS),
+               "grid": {"theta": MAX_THETA_POINTS, "eta": MAX_ETA_POINTS},
+               "hofer_sweep": MAX_HOFER_SWEEP}
+        cfg = RunConfig(raw)
+        assert (cfg.theta_grid, cfg.eta_grid, cfg.hofer_sweep) == (
+            MAX_THETA_POINTS, MAX_ETA_POINTS, MAX_HOFER_SWEEP)
+        assert RunConfig(raw, eta_grid=MAX_ETA_POINTS).eta_grid == MAX_ETA_POINTS
+        # the caps sit well above every size the tests and the benchmark use
+        assert MAX_THETA_POINTS >= 8 * (1 << 15) and MAX_ETA_POINTS >= 8 * 257
 
     @pytest.mark.parametrize("step, fragment", [
         pytest.param({"type": "slide"}, "types and keys", id="slide-without-its-keys"),

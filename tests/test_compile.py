@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from _oracles import rotated
 from floermini import cli, hofer
 from floermini.cerf import MorseCerfFamily
 from floermini.errors import MorseError
@@ -156,7 +157,7 @@ def test_no_build_path_calls_lambdify(monkeypatch, tmp_path):
     monkeypatch.setattr(importlib.import_module("sympy.utilities.lambdify"), "lambdify", refuse)
     f = MorseFunction1D.closed_form("cos(theta) + 2/5*sin(2*theta)", N=4096)
     g = MorseFunction1D.closed_form("sin(theta)", N=4096)
-    for h in (f.negated(), f.added(g), f.rotated(0.25)):
+    for h in (f.negated(), f.added(g), rotated(f, 0.25)):
         assert h.critical_points()
     fam = MorseCerfFamily("cos(theta) + eta*(3/5)*cos(2*theta + 1/2)", eta_points=9,
                           theta_points=4096)

@@ -19,13 +19,20 @@ def _reference_critical_cells(deriv, margin):
     return cells, flags
 
 
+def _kernel_cells_and_flags(deriv, margin):
+    """`critical_cells`, then `curvature_flags` on f' at both ends of each
+    cell, as `MorseFunction1D._scan` and `_check_cells` read them."""
+    cells = _kernels.critical_cells(deriv)
+    flags = _kernels.curvature_flags(deriv[cells], deriv[(cells + 1) % len(deriv)], margin)
+    return [int(c) for c in cells], [int(f) for f in flags]
+
+
 def test_critical_cells_matches_reference_on_smooth_grid():
     theta = np.arange(1 << 12) * (2 * np.pi / (1 << 12))
     deriv = -np.sin(theta) - 0.6 * np.sin(2 * theta + 0.5)
-    cells, flags = _kernels.critical_cells(deriv, 1e-4)
     expect = _reference_critical_cells(deriv.tolist(), 1e-4)
     assert expect[0]
-    assert ([int(c) for c in cells], [int(f) for f in flags]) == expect
+    assert _kernel_cells_and_flags(deriv, 1e-4) == expect
 
 
 def test_critical_cells_matches_reference_on_edge_cases():
@@ -35,8 +42,7 @@ def test_critical_cells_matches_reference_on_edge_cases():
     deriv = np.array([-1.0, 1.0, 2.0, -1.0, -1e-9, 1e-9, 3.0, 0.0, -2.0, -0.25, 0.25, 2.0])
     expect = ([0, 2, 4, 7, 9, 11], [1, 1, 0, 1, 1, 1])
     assert _reference_critical_cells(deriv.tolist(), 0.5) == expect
-    cells, flags = _kernels.critical_cells(deriv, 0.5)
-    assert ([int(c) for c in cells], [int(f) for f in flags]) == expect
+    assert _kernel_cells_and_flags(deriv, 0.5) == expect
 
 
 def test_dense_subgroup_search_value():

@@ -18,7 +18,7 @@ from floermini.morse import (
     MorseFunction1D,
     build_circle_valued,
     build_s1_morse,
-    canonical_pairing,
+    pair_critical_lists,
     _circle_complex,
     rho_small_morse,
 )
@@ -183,15 +183,15 @@ class TestCircleValued:
 class TestPairing:
     def test_identity_pairing(self):
         f = MorseFunction1D.closed_form("cos(theta)")
-        p = canonical_pairing(f, f)
+        p = pair_critical_lists(f.critical_points(), f.critical_points())
         assert len(p) == 2
         assert p.max_distance == 0.0
 
     def test_small_perturbation(self):
         f1 = MorseFunction1D.closed_form("cos(theta)")
         f2 = MorseFunction1D.closed_form("cos(theta) + 1/100*sin(3*theta)")
-        p = canonical_pairing(f1, f2)
         c1, c2 = f1.critical_points(), f2.critical_points()
+        p = pair_critical_lists(c1, c2)
         for i, j in p:
             assert c1[i].index == c2[j].index
         assert p.max_distance < 0.05
@@ -200,7 +200,7 @@ class TestPairing:
         f1 = MorseFunction1D.closed_form("cos(theta)")
         f2 = MorseFunction1D.closed_form("cos(theta) + 7/10*cos(2*theta + 1/2)")
         with pytest.raises(PairingError):
-            canonical_pairing(f1, f2)
+            pair_critical_lists(f1.critical_points(), f2.critical_points())
 
 
 class TestSmallMorse:
@@ -276,7 +276,7 @@ def _reference_thetas(f):
     """Cell-by-cell scalar bisection, one 0-d derivative call per step."""
     g = f.grid()
     h = 2 * math.pi / f.N
-    cells, _ = _kernels.critical_cells(f._fp(g), (2.0 / f.N) * h)
+    cells = _kernels.critical_cells(f._fp(g))
     out = []
     for c in cells:
         lo = g[c]

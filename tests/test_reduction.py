@@ -23,6 +23,7 @@ from floermini.reduction import (
     combination,
     orthogonalize,
     reduce_vector,
+    vec_apply,
     vec_axpy,
     vec_level,
 )
@@ -178,7 +179,8 @@ def test_updates_never_touch_caller_dicts(seed, kind):
         _, coeffs = reduce_vector(v, reduced)
         assert v == v_before
         combination(coeffs, reduced)
-        combination(coeffs, reduced, "vec")
+        vec_apply({i: r.vec for i, r in enumerate(reduced)},
+                  {i: c for i, c in enumerate(coeffs) if c is not None})
     assert _snapshot(stored) == stored_before
     assert _snapshot(inputs) == before
 

@@ -85,6 +85,47 @@ def test_every_unexported_definition_is_used_in_the_program():
     assert not unused, f"defined but named only outside the program: {unused}"
 
 
+def _top_level_definitions(tree):
+    """Names a module's own top-level statements define: functions,
+    classes and assigned names (imports excluded)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _literal(tree, name):
+    """The literal value of a top-level `name = ...` assignment, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_every_export_names_a_definition():
+    """Every string in a module's `__all__`, and every (module, attribute)
+    target of `__init__._EXPORTS`, names a definition in that module: a
+    deleted function must not leave its export entry behind.  `__init__`'s
+    own `__all__` is its `_EXPORTS` keys, checked through the targets."""
+    trees = {path.stem: tree for path, tree in _trees().items()}
+    stale = []
+    for module, tree in trees.items():
+        exported = _literal(tree, "__all__") if module != "__init__" else None
+        defined = _top_level_definitions(tree)
+        stale += [f"{module}.__all__: {name}" for name in exported or () if name not in defined]
+    targets = _literal(trees["__init__"], "_EXPORTS")
+    assert targets
+    for name, (module, attr) in targets.items():
+        if module not in trees or attr not in _top_level_definitions(trees[module]):
+            stale.append(f"__init__._EXPORTS[{name!r}]: {module}.{attr}")
+    assert not stale, f"exports that name no definition: {stale}"
+
+
 def test_every_error_class_is_raised():
     """Each `FloerminiError` subclass is raised somewhere in the program; an
     error class that nothing raises promises a failure mode that does not

@@ -229,12 +229,67 @@ class TestPeakAvoidanceErrors:
 
     def test_marked_peak_raises_typed_error(self, trivial_group, monkeypatch):
         X, cls = _adjusted_case(trivial_group)
-        # a zero correction leaves the tight cycle peaking at z-
-        monkeypatch.setattr(
-            spectral, "_solve_rational", lambda cols, target: [Fraction(0)] * len(cols)
-        )
+        # an empty solution applies no correction: the cycle still peaks at z-
+        monkeypatch.setattr(reduction.Decomposition, "some_preimage", lambda self, target: {})
         with pytest.raises(ComplexStructureError, match=r"marked orbits \['zminus'\]"):
             peak_avoidance_check(X, cls, ["zplus", "zminus"])
+
+
+def _tied_complex(rng, group):
+    """Degree-0 orbits at levels 0, 1, 2 and degree-1 orbits at 3 and 4:
+    levels tie, so the top slice of a class holds several orbits and
+    boundaries reach it at equal level."""
+    low = [Orbit(f"a{i}", rng.choice([0, 1, 2]), 0) for i in range(rng.randint(2, 5))]
+    high = [Orbit(f"b{i}", rng.choice([3, 4]), 1) for i in range(rng.randint(1, 4))]
+    caps = [(0,), (1,)] if group.rank else [()]
+
+    def chain(orbits):
+        return {o.id: NovikovScalar.monomial(group, rng.choice(caps), rng.choice([-2, -1, 1, 2]))
+                for o in rng.sample(orbits, rng.randint(1, len(orbits)))}
+
+    X = FilteredComplex(group, low + high, {o.id: chain(low) for o in high})
+    return X, NovikovChain(group, chain(low))
+
+
+def _reference_avoidance(X, res, marked):
+    """The verdict of peak avoidance by Gauss-Jordan over Q: can the
+    equal-level corrections clear the marked coordinates of the top slice?"""
+    deg = X.degree_of(res.tight_cycle)
+    coords = spectral._slice_coordinates(X, deg, res.value)
+    marked_coords = [c for c in coords if c[0] in marked]
+    target = spectral._slice_vector(X, res.tight_cycle.coeffs, coords)
+    if not any(target.get(mc) for mc in marked_coords):
+        return True
+    columns = [
+        [spectral._slice_vector(X, c, coords).get(mc, Fraction(0)) for mc in marked_coords]
+        for c in spectral.equal_level_corrections(X, deg, res.value)
+    ]
+    rhs = [target.get(mc, Fraction(0)) for mc in marked_coords]
+    return _oracles.solve_rational(columns, rhs) is not None
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["trivial", "int"]))
+def test_peak_avoidance_matches_gauss_jordan(seed, kind):
+    rng = random.Random(seed)
+    X, cls = _tied_complex(rng, make_period_group(*{"trivial": ([], []), "int": ([1], [0])}[kind]))
+    try:
+        res = rho(X, cls)
+    except ZeroClassError:
+        return
+    ids = [o.id for o in X.orbits]
+    marked = rng.sample(ids, rng.randint(1, 2))
+    if rng.random() < 0.8:  # mostly the peak's orbit, so the solve runs
+        marked[0] = res.witness[0]
+    ok, cycle = peak_avoidance_check(X, cls, marked)
+    assert ok == _reference_avoidance(X, res, marked)
+    if not ok:
+        assert cycle == res.tight_cycle
+        return
+    beta, _ = bounded_boundary_solve(X, cycle - cls)
+    assert X.boundary_of(beta) == cycle - cls
+    assert X.level(cycle) == res.value
+    assert not {oid for oid, _ in X.peaks(cycle)} & set(marked)
 
 
 GROUP_KINDS = {
