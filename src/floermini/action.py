@@ -38,6 +38,7 @@ from .errors import (
 __all__ = [
     "ActionValue",
     "PeriodGroup",
+    "LevelForm",
     "NovikovScalar",
     "NEG_INFINITY",
     "POS_INFINITY",
@@ -292,6 +293,13 @@ class ActionValue:
     def to_json(self) -> dict:
         return {"q": str(self.q), "irr": str(self.r), "approx": float(self)}
 
+    def parts(self) -> tuple:
+        """(x, y, den, d): integers with self == (x + y*sqrt(d)) / den, den > 0."""
+        q, r = self.q, self.r
+        den = math.lcm(q.denominator, r.denominator)
+        return q.numerator * (den // q.denominator), r.numerator * (den // r.denominator), \
+            den, self.d
+
     @staticmethod
     def from_json(obj: Mapping, d: int = 0) -> "ActionValue":
         return ActionValue(Fraction(obj.get("q", "0")), Fraction(obj.get("irr", "0")), d)
@@ -306,7 +314,8 @@ class PeriodGroup:
     at two.  Injectivity gives every nonzero scalar a unique leading term.
     """
 
-    __slots__ = ("values", "c1_weights", "rank", "d", "zero_cap", "_ints", "_omega_memo")
+    __slots__ = ("values", "c1_weights", "rank", "d", "zero_cap", "_scale", "_ints",
+                 "_omega_memo")
 
     def __init__(self, values: Iterable[ActionValue], c1_weights: Iterable[int]):
         values = tuple(ActionValue.coerce(v) for v in values)
@@ -341,7 +350,7 @@ class PeriodGroup:
         self.zero_cap = (0,) * self.rank
         # integer form: L * values[i] == a_i + b_i sqrt(d) for one common
         # L > 0, so L * omega(cap) == X + Y sqrt(d) with X, Y integers
-        scale = math.lcm(*(x.denominator for v in values for x in (v.q, v.r)))
+        scale = self._scale = math.lcm(*(x.denominator for v in values for x in (v.q, v.r)))
         self._ints = tuple((int(v.q * scale), int(v.r * scale)) for v in values)
         self._omega_memo = {}
 
@@ -382,27 +391,6 @@ class PeriodGroup:
         cap = self.check_cap(cap)
         return sum(c * w for c, w in zip(cap, self.c1_weights))
 
-    def cap_with_omega(self, target: ActionValue):
-        """The unique cap with omega(cap) == target, or None.
-
-        Uniqueness comes from independence: the rational generator solves
-        for q, the sqrt(d) one for r; existence is an integrality check.
-        """
-        target = ActionValue.coerce(target)
-        if target.d and self.d and target.d != self.d:
-            raise BasisMismatchError("membership query over a different sqrt base")
-        q, r, sol = target.q, target.r, []
-        for v in self.values:  # each coordinate consumed by its one generator
-            if v.q:
-                sol.append(q / v.q)
-                q = 0
-            else:
-                sol.append(r / v.r)
-                r = 0
-        if q or r or any(x.denominator != 1 for x in sol):
-            return None
-        return tuple(int(x) for x in sol)
-
     def __eq__(self, other):
         return (
             isinstance(other, PeriodGroup)
@@ -442,6 +430,197 @@ class PeriodGroup:
 def make_period_group(values, c1_weights) -> PeriodGroup:
     """Build a period group from exact constants; see PeriodGroup."""
     return PeriodGroup([ActionValue.coerce(v) for v in values], c1_weights)
+
+
+# ---------------------------------------------------------------------------
+# Integer level forms
+# ---------------------------------------------------------------------------
+
+
+class _Surd:
+    """x + y*sqrt(d) for integers x, y: a level key of an irrational form.
+    Keys add, subtract and scale by integers and compare by the exact sign
+    of their difference; an int is the key with y = 0."""
+
+    __slots__ = ("x", "y", "d")
+
+    def __init__(self, x: int, y: int, d: int):
+        self.x, self.y, self.d = x, y, d
+
+    def _pair(self, other):
+        if isinstance(other, _Surd):
+            return other.x, other.y
+        if isinstance(other, int):
+            return other, 0
+        return None
+
+    def __add__(self, other):
+        p = self._pair(other)
+        return NotImplemented if p is None else _Surd(self.x + p[0], self.y + p[1], self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        p = self._pair(other)
+        return NotImplemented if p is None else _Surd(self.x - p[0], self.y - p[1], self.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return _Surd(-self.x, -self.y, self.d)
+
+    def __mul__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        return _Surd(self.x * n, self.y * n, self.d)
+
+    __rmul__ = __mul__
+
+    def _cmp(self, other):
+        """The sign of self - other; None against anything but a key."""
+        p = self._pair(other)
+        return None if p is None else _sign(self.x - p[0], self.y - p[1], self.d)
+
+    def __eq__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c == 0
+
+    def __hash__(self):
+        return hash((self.x, self.y)) if self.y else hash(self.x)
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
+
+    def __repr__(self):
+        return f"_Surd({self.x}, {self.y}, {self.d})"
+
+
+class LevelForm:
+    """The integer form of levels over a period group.
+
+    Its scale L is a positive integer that clears the denominators of the
+    levels and of the group's generators (`PeriodGroup._ints`), so that
+    L*level = x + y*sqrt(d) and L*omega(cap) = X + Y*sqrt(d) with integers.
+    A level's key is the int x when d is 0, else the `_Surd` (x, y).  Keys
+    compare, add and subtract exactly on integers; an ActionValue is built
+    only when `value` reads a key back.  The key of the lifted generator
+    (orbit z, cap A) is key(z) - cap(A).
+    """
+
+    __slots__ = ("group", "scale", "d", "_caps")
+
+    def __init__(self, group: PeriodGroup, scale: int, d: int):
+        self.group, self.scale, self.d = group, scale, d
+        self._caps: dict = {}  # cap -> key of its omega
+
+    @staticmethod
+    def of(group: PeriodGroup, parts) -> "LevelForm":
+        """The form of the levels with these `ActionValue.parts`, at the
+        least common scale of theirs and the group's."""
+        d = group.d
+        for *_, e in parts:
+            if e and e != d:
+                if d:
+                    raise BasisMismatchError(f"mixed irrational bases sqrt({d}) and sqrt({e})")
+                d = e
+        return LevelForm(group, math.lcm(group._scale, *(p[2] for p in parts)), d)
+
+    def common(self, other: "LevelForm") -> tuple:
+        """(form, f, g): a form of both level sets, f and g the integer
+        factors that carry this form's and other's keys into it."""
+        if other.scale == self.scale and other.d == self.d:
+            return self, 1, 1
+        if self.d and other.d:
+            raise BasisMismatchError(f"mixed irrational bases sqrt({self.d}) and sqrt({other.d})")
+        scale = math.lcm(self.scale, other.scale)
+        return LevelForm(self.group, scale, self.d or other.d), scale // self.scale, \
+            scale // other.scale
+
+    def key(self, parts):
+        """The key of the level with these parts; its denominator divides the scale."""
+        x, y, den, _ = parts
+        f = self.scale // den
+        return x * f if not self.d else _Surd(x * f, y * f, self.d)
+
+    def key_of(self, value):
+        """The key of an exact value; None when scale*value has no integer form."""
+        value = ActionValue.coerce(value)
+        if value.d and self.d and value.d != self.d:
+            raise BasisMismatchError(f"mixed irrational bases sqrt({self.d}) and sqrt({value.d})")
+        x, y = value.q * self.scale, value.r * self.scale
+        if x.denominator != 1 or y.denominator != 1 or (y and not self.d):
+            return None
+        return x.numerator if not self.d else _Surd(x.numerator, y.numerator, self.d)
+
+    def value(self, key):
+        """The ActionValue key / scale; an infinity stays as it is."""
+        if isinstance(key, _Infinity):
+            return key
+        if not self.d:
+            return ActionValue._make(Fraction(key, self.scale), _FRACTION_ZERO, 0)
+        return ActionValue._make(Fraction(key.x, self.scale), Fraction(key.y, self.scale), self.d)
+
+    def cap(self, cap):
+        """The key of omega(cap)."""
+        try:
+            return self._caps[cap]
+        except KeyError:
+            pass
+        f = self.scale // self.group._scale
+        x = y = 0
+        for c, (a, b) in zip(cap, self.group._ints):
+            x += c * a
+            y += c * b
+        out = self._caps[cap] = x * f if not self.d else _Surd(x * f, y * f, self.d)
+        return out
+
+    def cap_of(self, key):
+        """The cap whose omega has this key, or None.  It is unique, as
+        omega is injective: the rational generator solves for x, the
+        sqrt(d) one for y, and existence is a divisibility check."""
+        x, y = (key, 0) if not self.d else (key.x, key.y)
+        f = self.scale // self.group._scale
+        sol = []
+        for a, b in self.group._ints:  # each coordinate consumed by its one generator
+            if a:
+                c, rem = divmod(x, a * f)
+                x = 0
+            else:
+                c, rem = divmod(y, b * f)
+                y = 0
+            if rem:
+                return None
+            sol.append(c)
+        return None if x or y else tuple(sol)
+
+    def bound(self, value) -> tuple:
+        """(n, b): an integer n > 0 and a key b with sign(k / scale - value)
+        == sign(n*k - b) for every key k, for a value whose denominators
+        the scale need not clear; an infinity bounds as itself."""
+        if isinstance(value, _Infinity):
+            return 1, value
+        v = ActionValue.coerce(value)
+        if v.d and self.d and v.d != self.d:
+            raise BasisMismatchError(f"mixed irrational bases sqrt({self.d}) and sqrt({v.d})")
+        x, y, n, _ = v.parts()
+        return n, (x * self.scale if not y else _Surd(x * self.scale, y * self.scale, v.d))
+
+
+_FRACTION_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +928,11 @@ class NovikovScalar:
     @staticmethod
     def monomial(group: PeriodGroup, cap, coeff=1) -> "NovikovScalar":
         cap = group.check_cap(cap)
-        return NovikovScalar(group, {cap: _as_fraction(coeff)})
+        c = _as_fraction(coeff)
+        if not c:
+            return NovikovScalar.zero(group)
+        # c q^cap over c's denominator is canonical: a monomial over a positive constant
+        return NovikovScalar._make(group, {cap: c.numerator}, {group.zero_cap: c.denominator})
 
     @staticmethod
     def from_terms(group: PeriodGroup, terms: Mapping) -> "NovikovScalar":
@@ -858,13 +1041,17 @@ class NovikovScalar:
         """min omega over the support; +inf sentinel for the zero scalar."""
         if self.is_zero():
             return POS_INFINITY
-        return self.group.omega(self.group.lowest(self._num))  # den has valuation 0
+        return self.group.omega(self.leading_cap())  # den has valuation 0
+
+    def leading_cap(self):
+        """The cap of the minimal-omega support element of a nonzero scalar."""
+        return self.group.lowest(self._num)
 
     def leading_term(self):
         """(cap, coefficient) of the minimal-omega support element."""
         if self.is_zero():
             raise ZeroScalarError("the zero scalar has no leading term")
-        cap = self.group.lowest(self._num)
+        cap = self.leading_cap()
         return cap, Fraction(self._num[cap], self._den[self.group.zero_cap])
 
     # -- windowed materialization ----------------------------------------------

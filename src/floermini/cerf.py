@@ -766,7 +766,7 @@ def _record(alive, crit, eta):
         p = crit[j]
         b.etas.append(float(eta))
         b.thetas.append(p.theta)
-        b.values.append(-float(p.value))
+        b.values.append(-p.quanta / VALUE_QUANTUM)  # int / int rounds correctly: -float(p.value)
 
 
 class _Walker:

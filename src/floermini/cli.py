@@ -20,7 +20,7 @@ from .action import ActionValue
 from .cerf import ETA_TOLERANCE, SLOPE_TOLERANCE, classify_events
 from .config import RunConfig
 from .continuation import (
-    classify_entries,
+    classify_steps,
     compose_step_maps,
     dichotomy_constant,
     rho_curve,
@@ -190,8 +190,7 @@ class Runner:
         if a0 > eps + eps:
             thin = slides = 0
             violations = []
-            for step in steps:
-                cls = classify_entries(step, a0, eps)
+            for cls in classify_steps(steps, a0, eps):
                 thin += len(cls.thin)
                 slides += len(cls.slides)
                 violations += [

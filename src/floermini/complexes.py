@@ -5,6 +5,16 @@ is presented through the scalar coefficients.  A lifted generator
 (orbit z, cap A) sits at level(z) - omega(A) with index index(z) - 2 c1(A).
 Validation enforces the two matrix axioms: every boundary contribution
 strictly lowers the level, and the boundary squares to zero.
+
+Levels are compared on integers.  Each complex has one `LevelForm`: a
+scale L that clears the denominators of its orbit levels and its group's
+generators, so L*level(z) is a key x_z (+ y_z sqrt(d)) and the lifted
+generator (z, A) has the key key(z) - cap(A).  The filtration check, the
+level order, the gap, the term levels of elimination (`term`), the peaks
+and the spectrum's witnesses all read keys; an ActionValue is built only
+for a result (`level`, `filtration_gap`, an orbit's `level` attribute).
+An orbit given by integers (`Orbit.scaled`) builds its ActionValue only if
+it is read.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from typing import Iterable, Mapping
 from .action import (
     POS_INFINITY,
     ActionValue,
+    LevelForm,
     NovikovScalar,
     PeriodGroup,
 )
@@ -37,12 +48,30 @@ __all__ = [
 
 
 class Orbit:
-    __slots__ = ("id", "level", "index")
+    """An orbit id, its level and its index.  `parts` is the level in
+    integers, (x, y, den, d) with level == (x + y*sqrt(d)) / den."""
+
+    __slots__ = ("id", "index", "parts", "_level")
 
     def __init__(self, id: str, level, index: int):
         self.id = str(id)
-        self.level = ActionValue.coerce(level)
+        self._level = ActionValue.coerce(level)
+        self.parts = self._level.parts()
         self.index = int(index)
+
+    @classmethod
+    def scaled(cls, id: str, x: int, den: int, index: int) -> "Orbit":
+        """The orbit at the rational level x / den, for integers x and den > 0."""
+        out = object.__new__(cls)
+        out.id, out.index, out.parts, out._level = id, index, (x, 0, den, 0), None
+        return out
+
+    @property
+    def level(self) -> ActionValue:
+        if self._level is None:
+            x, y, den, d = self.parts
+            self._level = ActionValue(Fraction(x, den), Fraction(y, den), d)
+        return self._level
 
     def __repr__(self):
         return f"Orbit({self.id!r}, level={self.level!r}, index={self.index})"
@@ -119,19 +148,28 @@ class NovikovChain:
 class SpecSet:
     """Action spectrum: orbit levels modulo translation by the period group."""
 
-    __slots__ = ("group", "levels")
+    __slots__ = ("group", "orbits", "_form", "_keys")
 
-    def __init__(self, group: PeriodGroup, levels: Iterable[tuple]):
+    def __init__(self, group: PeriodGroup, orbits: Iterable[Orbit], form: LevelForm, keys):
+        """`form` and `keys` are the complex's level form and orbit keys."""
         self.group = group
-        self.levels = tuple(levels)  # (orbit id, level)
+        self.orbits = tuple(orbits)
+        self._form, self._keys = form, keys
+
+    @property
+    def levels(self) -> tuple:
+        """(orbit id, level) pairs."""
+        return tuple((o.id, o.level) for o in self.orbits)
 
     def witness(self, value: ActionValue):
         """(orbit id, cap) with level(orbit) - omega(cap) == value, or None."""
-        value = ActionValue.coerce(value)
-        for oid, lvl in self.levels:
-            cap = self.group.cap_with_omega(lvl - value)
+        v = self._form.key_of(value)
+        if v is None:  # L*(level - omega) is a key, so no such orbit and cap
+            return None
+        for o in self.orbits:
+            cap = self._form.cap_of(self._keys[o.id] - v)
             if cap is not None:
-                return oid, cap
+                return o.id, cap
         return None
 
     def __repr__(self):
@@ -171,14 +209,22 @@ class FilteredComplex:
                 entries[str(tgt)] = scalar
             if entries:
                 self.boundary[str(src)] = entries
+        self._set_levels(LevelForm.of(group, [o.parts for o in self.orbits]))
         self._validate()
         self._decompositions: dict = {}
         self._homology_cache = None
         self._order = None
 
+    def _set_levels(self, form: LevelForm):
+        self.form = form
+        self.keys = {o.id: form.key(o.parts) for o in self.orbits}
+
     # -- validation -------------------------------------------------------
 
     def _validate(self):
+        """Checks each entry, cap by cap, and records the entries as
+        (source, target, caps) for the drop checks and the gap."""
+        entries = []
         for src, row in self.boundary.items():
             if src not in self._by_id:
                 raise ComplexStructureError(f"boundary from unknown orbit {src!r}")
@@ -191,23 +237,25 @@ class FilteredComplex:
                         f"boundary entry {src}->{tgt} must have finite support"
                     )
                 t_orb = self._by_id[tgt]
-                for cap in scalar.num:
+                caps = tuple(scalar.num)
+                for cap in caps:
                     if s_orb.index - 1 != t_orb.index - 2 * self.group.c1(cap):
                         raise ComplexStructureError(
                             f"entry {src}->{tgt} cap {cap} breaks the degree convention"
                         )
                     self._check_drop(src, tgt, cap)
+                entries.append((src, tgt, caps))
+        self._entries = tuple(entries)
         for src, row in self.boundary.items():
             if reduction.vec_apply(self.boundary, row):
                 raise ComplexStructureError(f"boundary does not square to zero at {src!r}")
 
     def _check_drop(self, src, tgt, cap):
         """The filtration axiom at one lifted entry: it lowers the level."""
-        drop = self._by_id[src].level - self._by_id[tgt].level + self.group.omega(cap)
-        if drop.sign() <= 0:
-            raise FiltrationError(
-                f"entry {src}->{tgt} cap {cap} does not lower the level (drop {drop!r})"
-            )
+        drop = self.keys[src] - self.keys[tgt] + self.form.cap(cap)
+        if drop <= 0:
+            raise FiltrationError(f"entry {src}->{tgt} cap {cap} does not lower the level"
+                                  f" (drop {self.form.value(drop)!r})")
 
     # -- re-levelling ----------------------------------------------------------
 
@@ -215,7 +263,8 @@ class FilteredComplex:
         """This complex with new orbit levels: the same orbit ids and indices,
         and the same boundary object.  Its entries, their degrees and its
         square, zero, do not depend on the levels, so only the filtration
-        (drop) check runs again.
+        (drop) check runs again, over the shared entry list.  At an equal
+        scale the level form, with its cap keys, is shared as well.
 
         Over the trivial group every term level is an orbit level, and the
         elimination of a map out of degree k compares only levels inside
@@ -226,20 +275,22 @@ class FilteredComplex:
         lazily, as a fresh one would.
         """
         X = object.__new__(FilteredComplex)
-        X.group, X.boundary = self.group, self.boundary
+        X.group, X.boundary, X._entries = self.group, self.boundary, self._entries
         X.orbits = tuple(sorted(orbits, key=lambda o: o.id))
         if [(o.id, o.index) for o in X.orbits] != [(o.id, o.index) for o in self.orbits]:
             raise ComplexStructureError("a relevelled complex keeps the orbit ids and indices")
         X._by_id = {o.id: o for o in X.orbits}
-        for src, row in X.boundary.items():
-            for tgt, scalar in row.items():
-                for cap in scalar.num:
-                    X._check_drop(src, tgt, cap)
+        form = LevelForm.of(self.group, [o.parts for o in X.orbits])
+        same = form.scale == self.form.scale and form.d == self.form.d
+        X._set_levels(self.form if same else form)  # a shared form shares its cap keys
+        for src, tgt, caps in X._entries:
+            for cap in caps:
+                X._check_drop(src, tgt, cap)
         X._decompositions, X._homology_cache, X._order = {}, None, None
         if self._decompositions and self.group.rank == 0 and X._orders_as(self._level_order()):
             X._order = self._order
             X._decompositions = {
-                k: dec.relevelled(X.weight, partial(X.boundary_basis, k))
+                k: dec.relevelled(X.term, partial(X.boundary_basis, k))
                 for k, dec in self._decompositions.items()}
         return X
 
@@ -248,16 +299,16 @@ class FilteredComplex:
         consecutive pairs (a, b, tie): the preorder of the levels."""
         if self._order is None:
             self._order = []
+            keys = self.keys
             for k in self.degrees():
-                ids = sorted(self.orbit_ids(k), key=self.weight)  # stable: ids in id order
-                self._order += [(a, b, self.weight(a) == self.weight(b))
-                                for a, b in zip(ids, ids[1:])]
+                ids = sorted(self.orbit_ids(k), key=keys.__getitem__)  # stable: ids in id order
+                self._order += [(a, b, keys[a] == keys[b]) for a, b in zip(ids, ids[1:])]
         return self._order
 
     def _orders_as(self, order) -> bool:
         """Whether these levels have the preorder `order` of `_level_order`."""
-        w = self.weight
-        return all(w(a) == w(b) if tie else w(a) < w(b) for a, b, tie in order)
+        keys = self.keys
+        return all(keys[a] == keys[b] if tie else keys[a] < keys[b] for a, b, tie in order)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -273,8 +324,12 @@ class FilteredComplex:
     def degrees(self) -> list:
         return sorted({o.index for o in self.orbits})
 
-    def weight(self, oid: str) -> ActionValue:
-        return self._by_id[oid].level
+    def term(self, oid: str, scalar: NovikovScalar):
+        """The key of the term scalar*oid's level: key(oid) minus the key
+        of omega at the scalar's leading cap."""
+        if not self.group.rank:
+            return self.keys[oid]
+        return self.keys[oid] - self.form.cap(scalar.leading_cap())
 
     # -- chain operations ------------------------------------------------------
 
@@ -301,12 +356,12 @@ class FilteredComplex:
 
     def level(self, chain: NovikovChain, degree: int | None = None):
         chain = self._pure(chain, degree)
-        return reduction.vec_level(chain.coeffs, self.weight)
+        return self.form.value(reduction.vec_level(chain.coeffs, self.term))
 
     def peaks(self, chain: NovikovChain, degree: int | None = None) -> list:
         """Lifted generators (orbit id, cap) achieving the level."""
         chain = self._pure(chain, degree)
-        return reduction.vec_peaks(chain.coeffs, self.weight)
+        return reduction.vec_peaks(chain.coeffs, self.term)
 
     def boundary_of(self, chain: NovikovChain) -> NovikovChain:
         return NovikovChain(self.group, reduction.vec_apply(self.boundary, chain.coeffs))
@@ -320,20 +375,23 @@ class FilteredComplex:
         """Minimal level drop over all boundary contributions; +inf if there
         are none.  A connection between the orbits of a pair in `excluded`,
         in either direction, does not count."""
+        return self.form.value(self.gap_key(excluded))
+
+    def gap_key(self, excluded=()):
+        """The key of `filtration_gap`, or +inf: a minimum over the entry
+        list, which every re-levelled complex shares, at these levels."""
         gap = POS_INFINITY
-        for src, row in self.boundary.items():
-            s_orb = self._by_id[src]
-            for tgt, scalar in row.items():
-                if (src, tgt) in excluded or (tgt, src) in excluded:
-                    continue
-                t_orb = self._by_id[tgt]
-                drop = s_orb.level - t_orb.level + scalar.valuation()
-                if drop < gap:
-                    gap = drop
+        keys, cap, lowest = self.keys, self.form.cap, self.group.lowest
+        for src, tgt, caps in self._entries:
+            if (src, tgt) in excluded or (tgt, src) in excluded:
+                continue
+            drop = keys[src] - keys[tgt] + cap(lowest(caps))
+            if gap is POS_INFINITY or drop < gap:
+                gap = drop
         return gap
 
     def spectrum(self) -> SpecSet:
-        return SpecSet(self.group, [(o.id, o.level) for o in self.orbits])
+        return SpecSet(self.group, self.orbits, self.form, self.keys)
 
     # -- the boundary maps ----------------------------------------------------
 
@@ -345,7 +403,7 @@ class FilteredComplex:
             # orthogonalize copies its inputs, so the rows are passed as they are
             cols = [(self.boundary.get(oid, {}), {oid: one}) for oid in self.orbit_ids(degree)]
             self._decompositions[degree] = reduction.Decomposition(
-                cols, self.weight, partial(self.boundary_basis, degree))
+                cols, self.term, partial(self.boundary_basis, degree))
         return self._decompositions[degree]
 
     def boundary_basis(self, degree: int):

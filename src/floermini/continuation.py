@@ -5,11 +5,23 @@ birth inserts the new pair with the normal-form correction, a death
 cancels it by the inverse elementary operation, and a declared handle
 slide contributes a transvection.  Every constructed map is a chain map,
 checked exactly, and its level shifts are bounded by the negative
-variation of the family.  A pairing step is checked as one dict
-comparison: its table is a bijection of the orbits that carries one
-boundary onto the other, which makes it a chain map by construction.
-Every event step and every composite is checked per column by
-`ChainMap.verify`.
+variation of the family.  Every event step and every composite is
+checked per column by `ChainMap.verify`.
+
+Between events the task is carried, as the paper's structure theorem
+says it may be: a pairing step only relabels generators.  When its table
+is a bijection of the orbits that carries one boundary onto the other
+(`_carries_boundary`), the step is a chain map by construction, and it is
+kept as that table (`ChainMap.carried`), with no scalar entries.  Its
+entry shifts are the level changes of paired orbits, so the thin-or-slide
+verdict (`classify_entries`) reads them off the two slices' integer level
+keys; a run of carried steps composes as tables, and scalar composition
+(`compose_after`) runs only across the event steps.  The complexes that
+share one boundary object share one entry list, so the dichotomy
+constant is a minimum over that list at each slice's levels
+(`FilteredComplex.gap_key`).  This is the carried decomposition of
+Usher & Zhang, "Persistent homology and Floer-Novikov theory" (Geom.
+Topol. 2016), read off a Cerf family.
 
 Maps are stored, like a boundary, as columns {source: {target: scalar}}
 and applied by `reduction.vec_apply`; identities are checked per column.
@@ -27,12 +39,13 @@ the family declared it, and a concatenation is walked like any family.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .action import POS_INFINITY, ActionValue, NovikovScalar
 from .cerf import concat
 from .complexes import FilteredComplex, NovikovChain
 from .errors import ChainMapError, EventError, NotACycleError
-from .reduction import Decomposition, vec_apply, vec_axpy
+from .reduction import Decomposition, vec_apply, vec_axpy, vec_level
 from .spectral import equal_level_corrections, rho
 
 __all__ = [
@@ -45,6 +58,7 @@ __all__ = [
     "step_maps",
     "glue_maps",
     "classify_entries",
+    "classify_steps",
     "dichotomy_constant",
     "transfer_level_curve",
     "tightness_transfer_check",
@@ -101,22 +115,48 @@ class _SparseMap:
 
 
 class ChainMap(_SparseMap):
-    """Degree-zero map between complexes as a sparse scalar matrix."""
+    """Degree-zero map between complexes as a sparse scalar matrix.
+
+    A carried map is given by its `table` alone (`carried`); every other
+    map has table None."""
 
     def __init__(self, source: FilteredComplex, target: FilteredComplex,
                  entries=None, provenance=None):
         super().__init__(source, target, entries)
         self.provenance = provenance or {}
+        self.table = None
+
+    @classmethod
+    def carried(cls, source: FilteredComplex, target: FilteredComplex, table: dict):
+        """The map s -> table[s], each entry one with provenance "pairing",
+        for a bijection of the orbits that carries source's boundary onto
+        target's: a chain map by construction."""
+        out = object.__new__(cls)
+        out.source, out.target, out.table = source, target, table
+        return out
+
+    # A carried map builds its columns and provenance on first read; the
+    # instance attributes that __init__ sets shadow these for every other map.
+    @cached_property
+    def columns(self) -> dict:
+        one = NovikovScalar.one(self.source.group)
+        return {s: {t: one} for s, t in self.table.items()}
+
+    @cached_property
+    def provenance(self) -> dict:
+        return {(t, s): "pairing" for s, t in self.table.items()}
 
     @staticmethod
     def identity(X: FilteredComplex) -> "ChainMap":
-        one = NovikovScalar.one(X.group)
-        ent = {(o.id, o.id): one for o in X.orbits}
-        return ChainMap(X, X, ent, {k: "pairing" for k in ent})
+        return ChainMap.carried(X, X, {o.id: o.id for o in X.orbits})
 
     def compose_after(self, first: "ChainMap") -> "ChainMap":
         """self o first.  An entry's provenance joins the non-pairing tags
-        of every path t <- m <- s through it, "pairing" if there are none."""
+        of every path t <- m <- s through it, "pairing" if there are none.
+        Two carried maps compose as tables."""
+        if self.table is not None and first.table is not None:
+            return ChainMap.carried(first.source, self.target,
+                                    {s: self.table[m] for s, m in first.table.items()})
         ent: dict = {}
         prov: dict = {}
         for s, col in first.columns.items():
@@ -139,11 +179,24 @@ class ChainMap(_SparseMap):
                 raise ChainMapError(f"chain-map identity fails at {o.id}")
         return True
 
-    def entry_shift(self, key) -> ActionValue:
-        """Level shift of one matrix entry: level(target lift) - level(source)."""
-        tgt, src = key
-        u = self.columns[src][tgt]
-        return (self.target.weight(tgt) - u.valuation()) - self.source.weight(src)
+    def entry_shifts(self) -> tuple:
+        """(form, shifts): `shifts` lists (entry key, shift, provenance) in
+        key order, each shift level(target lift) - level(source) as a key
+        of `form`, the level form common to source and target.  A carried
+        map's shifts are the level changes of its paired orbits."""
+        X, Y = self.source, self.target
+        form, fx, fy = X.form.common(Y.form)
+        xk = X.keys
+        if self.table is not None:
+            yk = Y.keys
+            shifts = [((t, s), yk[t] * fy - xk[s] * fx, "pairing")
+                      for s, t in self.table.items()]
+        else:
+            prov = self.provenance
+            shifts = [((t, s), Y.term(t, u) * fy - xk[s] * fx, prov.get((t, s), ""))
+                      for s, col in self.columns.items() for t, u in col.items()]
+        shifts.sort(key=lambda e: e[0])
+        return form, shifts
 
     def to_json(self) -> list:
         ent = self.entries
@@ -179,10 +232,13 @@ class ChainHomotopy(_SparseMap):
 
 def _carries_boundary(table: dict, X, Y) -> bool:
     """Whether `table` is a bijection of X's orbits onto Y's under which
-    the two boundaries agree, so that s -> table[s] is a chain map."""
-    if table.keys() != {o.id for o in X.orbits} or \
-            sorted(table.values()) != [o.id for o in Y.orbits]:
+    the two boundaries agree, so that s -> table[s] is a chain map.  The
+    identity table carries a boundary object that X and Y share."""
+    if table.keys() != X.keys.keys() or len(Y.keys) != len(table) or \
+            Y.keys.keys() != set(table.values()):
         return False
+    if X.boundary is Y.boundary and all(s == t for s, t in table.items()):
+        return True
     return Y.boundary == {table[s]: {table[t]: c for t, c in row.items()}
                           for s, row in X.boundary.items()}
 
@@ -199,10 +255,13 @@ def _step_map(X, Y, st) -> ChainMap:
     to slide_over, negated when inverted.  A crossing is a pairing.
 
     A pairing or crossing step whose table carries X's boundary onto Y's
-    (`_carries_boundary`) is a chain map by construction; every other step
-    is checked by `ChainMap.verify`.
+    (`_carries_boundary`) is a chain map by construction and is kept as
+    its table (`ChainMap.carried`); every other step is checked by
+    `ChainMap.verify`.
     """
     kind, table = st.get("type", "pairing"), st["table"]
+    if kind in ("pairing", "crossing") and _carries_boundary(table, X, Y):
+        return ChainMap.carried(X, Y, table)
     if kind in ("birth", "death"):
         plus, minus = st["plus"], st["minus"]
         u = (Y if kind == "birth" else X).boundary.get(plus, {}).get(minus)
@@ -235,14 +294,14 @@ def _step_map(X, Y, st) -> ChainMap:
         add((str(st["slide_over"]), str(st["slide_from"])),
             -c if st.get("invert", False) else c, "slide")
     h = ChainMap(X, Y, ent, prov)
-    if kind not in ("pairing", "crossing") or not _carries_boundary(table, X, Y):
-        h.verify()
+    h.verify()
     return h
 
 
 def step_maps(fam, reverse=False) -> list:
-    """Per-interval chain maps in traversal order, each verified; with
-    reverse set, the maps back along the grid from its top end."""
+    """Per-interval chain maps in traversal order, each verified or carried
+    (`_step_map`); with reverse set, the maps back along the grid from its
+    top end."""
     n = len(fam.grid)
     maps = []
     for i in range(n - 2, -1, -1) if reverse else range(n - 1):
@@ -258,11 +317,21 @@ def continuation_map(fam) -> ChainMap:
 
 
 def compose_step_maps(maps) -> ChainMap:
-    """Composite of per-interval maps in traversal order, verified."""
+    """Composite of per-interval maps in traversal order, verified.  Each
+    run of carried maps composes as tables first, so scalar composition
+    runs only across the other steps.  A carried map relabels entries one
+    to one and keeps their tags, so the grouping leaves every entry and
+    its provenance as the step-by-step composite has them."""
     if not maps:
         raise EventError("family has no intervals")
-    h = maps[0]
-    for m in maps[1:]:
+    runs = []
+    for m in maps:
+        if runs and m.table is not None and runs[-1].table is not None:
+            runs[-1] = m.compose_after(runs[-1])
+        else:
+            runs.append(m)
+    h = runs[0]
+    for m in runs[1:]:
         h = m.compose_after(h)
     h.verify()
     return h
@@ -273,12 +342,17 @@ def compose_step_maps(maps) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
-def _hom_weight(X, Y):
-    def weight(key):
-        t, s = key
-        return Y.weight(t) - X.weight(s)
+def _hom_term(X, Y):
+    """Term levels of the Hom space from X to Y: the key of the entry u at
+    (t, s) is level(t) - valuation(u) - level(s), in the form common to X
+    and Y."""
+    _, fx, fy = X.form.common(Y.form)
 
-    return weight
+    def term(key, u):
+        t, s = key
+        return Y.term(t, u) * fy - X.keys[s] * fx
+
+    return term
 
 
 def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
@@ -305,7 +379,7 @@ def solve_chain_homotopy(direct: ChainMap, composed: ChainMap) -> ChainHomotopy:
         # E_{t,s} o d_X: x contributes when d_X x hits s
         vec_axpy(col, None, {(t, src): row[s] for src, row in X.boundary.items() if s in row})
         columns.append((col, {(t, s): one}))
-    hvec = Decomposition(columns, _hom_weight(X, Y)).preimage(dvec)
+    hvec = Decomposition(columns, _hom_term(X, Y)).preimage(dvec)
     if hvec is None:
         raise ChainMapError("maps are not chain homotopic")
     H = ChainHomotopy(X, Y, hvec)
@@ -359,13 +433,17 @@ def dichotomy_constant(fam) -> ActionValue:
     measures the energy floor of all the other trajectories.  The minimum
     runs over this family's own grid only: a sub-family (`sub_family`)
     computes its constant on its own grid, and it can be smaller or
-    larger than the parent's.
+    larger than the parent's.  Each slice's gap is a key of its level
+    form (`FilteredComplex.gap_key`); two keys k/L and k'/L' compare as
+    k*L' and k'*L.
     """
-    best = POS_INFINITY
+    best = form = None
     for i in range(len(fam.grid)):
-        excluded = fam.cusp_pairs(i)
-        best = min(best, fam.chain_complex(i).filtration_gap(excluded))
-    return best
+        X = fam.chain_complex(i)
+        gap = X.gap_key(fam.cusp_pairs(i))
+        if gap is not POS_INFINITY and (form is None or gap * form.scale < best * X.form.scale):
+            best, form = gap, X.form
+    return POS_INFINITY if form is None else form.value(best)
 
 
 def classify_entries(h: ChainMap, a0: ActionValue, eps: ActionValue) -> EntryClassification:
@@ -374,25 +452,39 @@ def classify_entries(h: ChainMap, a0: ActionValue, eps: ActionValue) -> EntryCla
     Thin entries (|shift| <= eps) must connect paired orbits; slides need
     |shift| >= a0 - eps; anything in the middle band is a violation.
     """
-    zero = ActionValue.rational(0)
+    return classify_steps([h], a0, eps)[0]
+
+
+def classify_steps(maps, a0: ActionValue, eps: ActionValue) -> list:
+    """`classify_entries` of each map.  The shifts are keys of each map's
+    level form (`ChainMap.entry_shifts`), and eps and a0 - eps become
+    integer bounds once per scale (`LevelForm.bound`)."""
     if not (a0 > eps + eps):
         raise EventError("dichotomy needs a0 > 2*eps")
     slide_floor = a0 - eps
-    thin, slides, violations = [], [], []
-    for key in sorted(h.entries):
-        shift = h.entry_shift(key)
-        mag = shift if shift >= zero else -shift
-        tag = h.provenance.get(key, "")
-        if mag <= eps:
-            if tag not in ("pairing", "birth", "death"):
-                violations.append((key, shift, f"thin entry with provenance {tag!r}"))
+    bounds: dict = {}  # (scale, d) -> the bounds of eps and of the slide floor
+    out = []
+    for h in maps:
+        form, shifts = h.entry_shifts()
+        b = bounds.get((form.scale, form.d))
+        if b is None:
+            b = bounds[(form.scale, form.d)] = form.bound(eps) + form.bound(slide_floor)
+        n_thin, thin_bound, n_slide, slide_bound = b
+        thin, slides, violations = [], [], []
+        for key, shift, tag in shifts:
+            mag = shift if shift >= 0 else -shift
+            if mag * n_thin <= thin_bound:
+                if tag not in ("pairing", "birth", "death"):
+                    violations.append((key, form.value(shift),
+                                       f"thin entry with provenance {tag!r}"))
+                else:
+                    thin.append((key, form.value(shift)))
+            elif mag * n_slide >= slide_bound:
+                slides.append((key, form.value(shift)))
             else:
-                thin.append((key, shift))
-        elif mag >= slide_floor:
-            slides.append((key, shift))
-        else:
-            violations.append((key, shift, "forbidden middle band"))
-    return EntryClassification(thin, slides, violations, a0, eps)
+                violations.append((key, form.value(shift), "forbidden middle band"))
+        out.append(EntryClassification(thin, slides, violations, a0, eps))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +554,11 @@ def _tight_cycles_at(X, cls):
     res = rho(X, cls)
     out = [res.tight_cycle]
     deg = X.degree_of(res.tight_cycle)
+    key = vec_level(res.tight_cycle.coeffs, X.term)
     for shifted in equal_level_corrections(X, deg, res.value):
         cand = vec_axpy(dict(res.tight_cycle.coeffs), None, shifted)
-        cand_chain = NovikovChain(X.group, cand)
-        if not cand_chain.is_zero() and X.level(cand_chain) == res.value:
-            out.append(cand_chain)
+        if cand and vec_level(cand, X.term) == key:
+            out.append(NovikovChain(X.group, cand))
     return res, out
 
 

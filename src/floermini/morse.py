@@ -135,12 +135,18 @@ def compile_expression(expr, symbols=(_THETA,)):
 
 
 def parse_expression(text: str, symbols=(_THETA,)) -> sp.Expr:
+    """The sympy tree of `text`.  Every parser failure is a MorseError: a
+    very long expression makes sympy's parser raise RecursionError (or a
+    ValueError around it), and its message quotes only the text's start."""
     local = {str(s): s for s in symbols}
     local.update({"sin": sp.sin, "cos": sp.cos, "pi": sp.pi})
     try:
         expr = sp.sympify(text, locals=local, rational=True)
-    except (sp.SympifyError, SyntaxError, TypeError) as e:
-        raise MorseError(f"cannot parse expression {text!r}: {e}") from None
+    except (sp.SympifyError, SyntaxError, TypeError, ValueError, RecursionError) as e:
+        shown = repr(text)
+        if len(shown) > 200:
+            shown = f"{shown[:80]}... ({len(shown)} characters)"
+        raise MorseError(f"cannot parse expression {shown}: {e}") from None
     validate_expression(expr, symbols)
     return expr
 
@@ -182,15 +188,21 @@ def bisect_cells(lo: np.ndarray, h: float, flo: np.ndarray, fp) -> np.ndarray:
 
 
 class CriticalPoint:
-    """Refined critical point; value is mean-zeroed and quantized."""
+    """Refined critical point.  Its value is mean-zeroed and quantized: a
+    whole number `quanta` of 1/VALUE_QUANTUM, which `value` reads as a
+    Fraction."""
 
-    __slots__ = ("theta", "value", "index", "raw_value")
+    __slots__ = ("theta", "quanta", "index", "raw_value")
 
-    def __init__(self, theta: float, value: Fraction, index: int, raw_value: float):
+    def __init__(self, theta: float, quanta: int, index: int, raw_value: float):
         self.theta = theta
-        self.value = value
+        self.quanta = quanta
         self.index = index  # Morse index of -f restricted to the circle: 0 or 1
         self.raw_value = raw_value
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.quanta, VALUE_QUANTUM)
 
     def __repr__(self):
         return f"CriticalPoint(theta={self.theta:.6f}, value={self.value}, index={self.index})"
@@ -275,7 +287,7 @@ class MorseFunction1D:
             # the a == 0 -> -b rule, bisection, the pairwise mean and
             # round-half-even quantization; maxima and minima swap
             out._crit = [
-                CriticalPoint(p.theta, -p.value, 1 - p.index, -p.raw_value)
+                CriticalPoint(p.theta, -p.quanta, 1 - p.index, -p.raw_value)
                 for p in self._crit
             ]
         return out
@@ -351,12 +363,15 @@ class MorseFunction1D:
 
     def _finish(self, thetas, raws, falls, mean) -> list:
         """Critical points at the refined thetas, with f there in raws:
-        index, raw and quantized value, then the alternation check."""
+        index, raw and quantized value, then the alternation check.  The
+        mean is a whole number of quanta (`_quantize`), so each value is
+        one integer subtraction."""
+        shift = mean.numerator * (VALUE_QUANTUM // mean.denominator)
         out = []
         for theta, raw, fall in zip(thetas, raws, falls):
             raw = float(raw)
             index = 0 if fall else 1  # f' falls through zero at a maximum of f
-            out.append(CriticalPoint(theta, _quantize(raw) - mean, index, raw))
+            out.append(CriticalPoint(theta, round(raw * VALUE_QUANTUM) - shift, index, raw))
         if self.drift == 0:
             zeros = sum(1 for p in out if p.index == 0)
             ones = len(out) - zeros
@@ -429,8 +444,11 @@ def _circle_complex(f, crit, eps, group, like=None) -> MorseComplexReport:
     """Generators are the critical points at level -eps*f(p), with the
     boundary of `_circle_boundary`; `like`, a complex over `group` with
     crit's index sequence, lends its boundary, re-levelled.  An entry that
-    does not lower the level means f's grid is too coarse."""
-    orbits = [Orbit(f"c{i}", ActionValue.rational(-eps * p.value), p.index)
+    does not lower the level means f's grid is too coarse.  A critical
+    value is a whole number of quanta, so every level is an integer over
+    the one scale eps.denominator * VALUE_QUANTUM (`Orbit.scaled`)."""
+    scale = eps.denominator * VALUE_QUANTUM
+    orbits = [Orbit.scaled(f"c{i}", -eps.numerator * p.quanta, scale, p.index)
               for i, p in enumerate(crit)]
     k = len(crit)
     try:

@@ -1,8 +1,10 @@
 """Valuation-pivoted elimination over the Novikov field.
 
-Vectors are sparse maps coordinate -> NovikovScalar; each coordinate
-carries a weight (its action level) and the level of a vector is
-max(weight - valuation) over its support.  The reduction produces a
+Vectors are sparse maps coordinate -> NovikovScalar.  The level of the
+term s*k is given by a callable `term(k, s)`: the coordinate's action
+level minus the scalar's valuation, as an integer key of the complex's
+`LevelForm` (`FilteredComplex.term`), and the level of a vector is the
+max of its terms' levels.  The reduction produces a
 triangular family with pairwise distinct pivot coordinates, each pivot
 realizing its vector's level.  Such a family is level-orthogonal:
 
@@ -73,26 +75,22 @@ def vec_scale(a: Vector, coef: NovikovScalar) -> Vector:
     return {k: coef * s for k, s in a.items()}
 
 
-def vec_level(v: Vector, weight: Callable[[Hashable], object]):
-    """max over support of weight(k) - valuation(coef); -inf for zero."""
+def vec_level(v: Vector, term: Callable[[Hashable, NovikovScalar], object]):
+    """max over support of term(k, coef), the level key; -inf for zero."""
     best = NEG_INFINITY
     for k, s in v.items():
-        lvl = weight(k) - s.valuation()
+        lvl = term(k, s)
         if best is NEG_INFINITY or lvl > best:
             best = lvl
     return best
 
 
-def vec_peaks(v: Vector, weight) -> list:
+def vec_peaks(v: Vector, term) -> list:
     """Coordinates (with leading caps) achieving the level, sorted."""
-    lvl = vec_level(v, weight)
+    lvl = vec_level(v, term)
     if lvl is NEG_INFINITY:
         return []
-    out = []
-    for k, s in v.items():
-        if weight(k) - s.valuation() == lvl:
-            cap, _ = s.leading_term()
-            out.append((k, cap))
+    out = [(k, s.leading_cap()) for k, s in v.items() if term(k, s) == lvl]
     out.sort(key=lambda t: t[0])
     return out
 
@@ -108,17 +106,17 @@ class Reduced:
         self.companion = companion
 
 
-def _peak_pivot(v: Vector, weight):
+def _peak_pivot(v: Vector, term):
     lvl = None
     best = None
     for k, s in v.items():
-        l = weight(k) - s.valuation()
+        l = term(k, s)
         if lvl is None or l > lvl or (l == lvl and k < best):
             lvl, best = l, k
     return best
 
 
-def orthogonalize(columns: Iterable[tuple], weight, reduced: Iterable[Reduced] = ()):
+def orthogonalize(columns: Iterable[tuple], term, reduced: Iterable[Reduced] = ()):
     """Triangularize columns; returns (reduced list, kernel companions).
 
     `columns` yields (vector, companion) pairs; identical row operations
@@ -142,7 +140,7 @@ def orthogonalize(columns: Iterable[tuple], weight, reduced: Iterable[Reduced] =
             if comp:
                 kernel.append(comp)
             continue
-        reduced.append(Reduced(_peak_pivot(vec, weight), vec, comp))
+        reduced.append(Reduced(_peak_pivot(vec, term), vec, comp))
     return reduced, kernel
 
 
@@ -186,20 +184,20 @@ class Decomposition:
     the image basis (`residual`).
     """
 
-    def __init__(self, columns: Iterable[tuple], weight, boundaries=list):
-        self.weight = weight
-        self.image, self.kernel = orthogonalize(columns, weight)
+    def __init__(self, columns: Iterable[tuple], term, boundaries=list):
+        self.term = term
+        self.image, self.kernel = orthogonalize(columns, term)
         self._boundaries = boundaries
         self._residuals: list = []  # (vector, residual) pairs
 
-    def relevelled(self, weight, boundaries) -> "Decomposition":
-        """The same elimination read with new weights that order every
+    def relevelled(self, term, boundaries) -> "Decomposition":
+        """The same elimination read with new term levels that order every
         compared pair of coordinates as the old ones did, ties included:
         the pivot choices, hence image, kernel, kernel basis and residuals,
         are this decomposition's and are shared.  The largest bar reads
-        the weights and is computed again on use."""
+        the levels and is computed again on use."""
         out = object.__new__(Decomposition)
-        out.weight, out._boundaries = weight, boundaries
+        out.term, out._boundaries = term, boundaries
         out.image, out.kernel, out._residuals = self.image, self.kernel, self._residuals
         if "kernel_basis" in self.__dict__:
             out.kernel_basis = self.kernel_basis
@@ -218,7 +216,7 @@ class Decomposition:
     @cached_property
     def kernel_basis(self) -> list:
         seed = [Reduced(r.pivot, r.vec, {}) for r in self._boundaries()]
-        basis, _ = orthogonalize([(k, {}) for k in self.kernel], self.weight, seed)
+        basis, _ = orthogonalize([(k, {}) for k in self.kernel], self.term, seed)
         return basis
 
     def some_preimage(self, target: Vector):
@@ -241,6 +239,7 @@ class Decomposition:
     @cached_property
     def largest_bar(self):
         """max over the image basis of level(minimal preimage) - level(vec),
-        which bounds the overhead of every solve; -inf for a zero image."""
-        return max((vec_level(self.minimal(r.companion), self.weight)
-                    - vec_level(r.vec, self.weight) for r in self.image), default=NEG_INFINITY)
+        a key, which bounds the overhead of every solve; -inf for a zero
+        image."""
+        return max((vec_level(self.minimal(r.companion), self.term)
+                    - vec_level(r.vec, self.term) for r in self.image), default=NEG_INFINITY)

@@ -23,7 +23,7 @@ the scalars are the rationals of the top level slice.
 
 from __future__ import annotations
 
-from .action import NEG_INFINITY, ActionValue, NovikovScalar, make_period_group
+from .action import NEG_INFINITY, NovikovScalar, make_period_group
 from .complexes import FilteredComplex, HomologyClass, NovikovChain
 from .errors import (
     ComplexStructureError,
@@ -49,7 +49,6 @@ __all__ = [
 # peak avoidance's system is rational: over the trivial group a scalar is
 # one rational coefficient
 _RATIONALS = make_period_group([], [])
-_ZERO = ActionValue.rational(0)
 
 
 class SpectralResult:
@@ -112,9 +111,7 @@ def rho(X: FilteredComplex, cls) -> SpectralResult:
     if not residual:
         raise ZeroClassError("the class vanishes in homology")
     tight = NovikovChain(X.group, residual)
-    value = X.level(tight)
-    peaks = X.peaks(tight)
-    return SpectralResult(value, tight, peaks[0], class_id)
+    return SpectralResult(X.level(tight), tight, X.peaks(tight)[0], class_id)
 
 
 def check_spectrality(X: FilteredComplex, cls) -> SpectralityCertificate:
@@ -124,10 +121,9 @@ def check_spectrality(X: FilteredComplex, cls) -> SpectralityCertificate:
 
 def spectrality_certificate(X: FilteredComplex, res: SpectralResult) -> SpectralityCertificate:
     """Certificate for a rho value already computed on X."""
-    spec = X.spectrum()
-    witness = spec.witness(res.value)
+    witness = X.spectrum().witness(res.value)
     orbit, cap = res.witness
-    attains = X.weight(orbit) - X.group.omega(cap) == res.value
+    attains = X.keys[orbit] - X.form.cap(cap) == X.form.key_of(res.value)
     return SpectralityCertificate(res.value, witness is not None, witness, attains)
 
 
@@ -145,9 +141,8 @@ def bounded_boundary_solve(X: FilteredComplex, gamma: NovikovChain):
     beta_vec = X.decomposition(deg + 1).preimage(gamma.coeffs)
     if beta_vec is None:
         raise NotABoundaryError("chain is not a boundary")
-    beta = NovikovChain(X.group, beta_vec)
-    overhead = X.level(beta) - X.level(gamma)
-    return beta, overhead
+    overhead = vec_level(beta_vec, X.term) - vec_level(gamma.coeffs, X.term)
+    return NovikovChain(X.group, beta_vec), X.form.value(overhead)
 
 
 def boundary_overhead_constant(X: FilteredComplex):
@@ -157,15 +152,16 @@ def boundary_overhead_constant(X: FilteredComplex):
     maps, each the worst overhead of a minimal preimage over its
     level-orthogonal image basis, which bounds every solve.
     """
-    return max((X.decomposition(deg + 1).largest_bar for deg in X.degrees()),
-               default=NEG_INFINITY)
+    return X.form.value(max((X.decomposition(deg + 1).largest_bar for deg in X.degrees()),
+                            default=NEG_INFINITY))
 
 
 def _slice_coordinates(X: FilteredComplex, degree: int, value):
     """Lifted generators (orbit id, cap) of `degree` exactly at level `value`."""
+    key = X.form.key_of(value)
     coords = []
-    for oid in X.orbit_ids(degree):
-        cap = X.group.cap_with_omega(X.weight(oid) - value)
+    for oid in X.orbit_ids(degree) if key is not None else ():
+        cap = X.form.cap_of(X.keys[oid] - key)
         if cap is not None:
             coords.append((oid, cap))
     return coords
@@ -189,8 +185,9 @@ def equal_level_corrections(X: FilteredComplex, degree: int, value):
     """Each image basis vector inside `degree`, in basis order, shifted by
     the unique monomial that raises it exactly to level `value`; vectors
     whose level differs from `value` by no period are skipped."""
-    for r in X.boundary_basis(degree):
-        cap = X.group.cap_with_omega(vec_level(r.vec, X.weight) - value)
+    key = X.form.key_of(value)
+    for r in X.boundary_basis(degree) if key is not None else ():
+        cap = X.form.cap_of(vec_level(r.vec, X.term) - key)
         if cap is not None:
             yield vec_scale(r.vec, NovikovScalar.monomial(X.group, cap))
 
@@ -209,8 +206,7 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
     if not marked:
         return True, res.tight_cycle
     deg = X.degree_of(res.tight_cycle)
-    value = res.value
-    coords = _slice_coordinates(X, deg, value)
+    coords = _slice_coordinates(X, deg, res.value)
     marked_coords = [(oid, cap) for (oid, cap) in coords if oid in marked]
 
     def marked_slice(vec: dict) -> dict:
@@ -223,11 +219,11 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
         return True, res.tight_cycle
     # the equal-level corrections that cancel the marked slice coordinates,
     # found by elimination at one constant level
-    corrections = list(equal_level_corrections(X, deg, value))
+    corrections = list(equal_level_corrections(X, deg, res.value))
     one = NovikovScalar.one(_RATIONALS)
     sol = Decomposition(
         [(marked_slice(c), {j: one}) for j, c in enumerate(corrections)],
-        lambda k: _ZERO,
+        lambda k, s: 0,
     ).some_preimage(target)
     if sol is None:
         return False, res.tight_cycle
@@ -237,9 +233,9 @@ def peak_avoidance_check(X: FilteredComplex, cls, marked_orbits):
         vec_axpy(adjusted_vec, None, {k: s.scale(-c) for k, s in corrections[j].items()})
     adjusted = NovikovChain(X.group, adjusted_vec)
     level = X.level(adjusted)
-    if level != value:
+    if level != res.value:  # a certificate: the two results, as values
         raise ComplexStructureError(
-            f"peak-avoiding cycle sits at level {level!r}, not at rho = {value!r}"
+            f"peak-avoiding cycle sits at level {level!r}, not at rho = {res.value!r}"
         )
     pinned = sorted({oid for oid, _ in X.peaks(adjusted)} & set(marked))
     if pinned:

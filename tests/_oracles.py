@@ -16,6 +16,8 @@ variation bounds pair by pair.
 `solve_rational` is plain Gauss-Jordan over Q, the reference for the
 engine's solve of peak avoidance's marked-slice system, and `rotated`
 relabels the circle coordinate of a closed form for the relabeling check.
+`cap_with_omega` solves omega(cap) == value in ActionValue arithmetic, the
+reference for the integer `LevelForm.cap_of`.
 """
 
 from fractions import Fraction
@@ -27,6 +29,24 @@ import sympy as sp
 from floermini.action import NEG_INFINITY, ActionValue, NovikovScalar
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
 from floermini.morse import MorseFunction1D
+
+
+def cap_with_omega(group, target):
+    """The unique cap with omega(cap) == target, or None: the rational
+    generator solves for q, the sqrt(d) one for r, and existence is an
+    integrality check."""
+    target = ActionValue.coerce(target)
+    q, r, sol = target.q, target.r, []
+    for v in group.values:  # each coordinate consumed by its one generator
+        if v.q:
+            sol.append(q / v.q)
+            q = 0
+        else:
+            sol.append(r / v.r)
+            r = 0
+    if q or r or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
 
 
 def min_positive_combination(v1: float, v2: float, bound: int) -> float:
@@ -56,7 +76,7 @@ def _lift_chain(X, chain, window=None):
 
 def _lifted_level(X, key):
     oid, cap = key
-    return X.weight(oid) - X.group.omega(cap)
+    return X.orbit(oid).level - X.group.omega(cap)
 
 
 def _boundary_columns(X, degree, bound):

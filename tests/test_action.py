@@ -8,19 +8,29 @@ from hypothesis import strategies as st
 
 from floermini.action import (
     ActionValue,
+    LevelForm,
     NEG_INFINITY,
     POS_INFINITY,
     NovikovScalar,
     PeriodGroup,
     make_period_group,
 )
+from floermini.complexes import Orbit
 from floermini.errors import (
     ConstantClassError,
     IndependenceError,
     RankMismatchError,
     ZeroScalarError,
 )
-from _oracles import min_positive_combination
+from _oracles import cap_with_omega, min_positive_combination
+
+
+def _cap_of_value(G, value):
+    """The cap with omega(cap) == value, or None, through the group's own
+    integer level form."""
+    form = LevelForm.of(G, [])
+    key = form.key_of(value)
+    return None if key is None else form.cap_of(key)
 
 
 def sqrt2(scale=1):
@@ -145,10 +155,11 @@ class TestPeriodGroup:
 
     def test_omega_membership(self):
         g = make_period_group([ActionValue(1), sqrt2()], [0, 0])
-        assert g.cap_with_omega(ActionValue(2) - sqrt2()) == (2, -1)
-        assert g.cap_with_omega(ActionValue(Fraction(1, 2))) is None
         t = make_period_group([Fraction(1, 2)], [0])
-        assert t.cap_with_omega(ActionValue(Fraction(-5, 2))) == (-5,)
+        for member in (cap_with_omega, _cap_of_value):
+            assert member(g, ActionValue(2) - sqrt2()) == (2, -1)
+            assert member(g, ActionValue(Fraction(1, 2))) is None
+            assert member(t, ActionValue(Fraction(-5, 2))) == (-5,)
 
     def test_json_round_trip(self):
         g = make_period_group([ActionValue(1), sqrt2()], [0, 3])
@@ -559,11 +570,11 @@ def test_integer_cap_order_matches_action_values(G):
         assert u.leading_term() == (cap, u.num[cap])
         assert u.valuation() == G.omega(cap)
         assert all(G.omega(cap) < G.omega(c) for c in u.num if c != cap)
-    # cap_with_omega inverts omega on the box and refuses non-members
+    # the level form inverts omega on the box and refuses non-members
     for cap in box:
-        assert G.cap_with_omega(G.omega(cap)) == cap
-        assert G.cap_with_omega(G.omega(cap) + Fraction(1, 7)) is None
-        assert G.cap_with_omega(G.omega(cap) + ActionValue.sqrt(G.d or 7, Fraction(1, 7))) is None
+        assert _cap_of_value(G, G.omega(cap)) == cap
+        assert _cap_of_value(G, G.omega(cap) + Fraction(1, 7)) is None
+        assert _cap_of_value(G, G.omega(cap) + ActionValue.sqrt(G.d or 7, Fraction(1, 7))) is None
 
 
 def test_omega_memo_keeps_the_cap_checks():
@@ -580,3 +591,55 @@ def test_omega_memo_keeps_the_cap_checks():
     with pytest.raises(RankMismatchError):
         H.omega((1, 0))
     assert G.omega((0, 0)) == 0 and G.omega((0, 0)).d == 0
+
+
+def _level_group(kind, s):
+    """(group, sqrt base of the levels) of each kind of period group."""
+    return {
+        "trivial": (make_period_group([], []), 0),
+        "trivial-sqrt2": (make_period_group([], []), 2),
+        "one": (make_period_group([1], [0]), 0),
+        "s-sqrt2": (make_period_group([sqrt2(s)], [0]), 2),
+        "dense": (make_period_group([ActionValue(1), sqrt2()], [0, 0]), 2),
+    }[kind]
+
+
+@settings(max_examples=40)
+@given(data=st.data(), kind=st.sampled_from(["trivial", "trivial-sqrt2", "one", "s-sqrt2",
+                                             "dense"]), s=st.integers(1, 3))
+def test_integer_level_keys_compare_as_action_values(data, kind, s):
+    """A complex's level form against ActionValue arithmetic: the keys of
+    lifted generators (orbit level minus omega of a cap) order, subtract
+    and read back as their values do; `key_of`, `cap_of` and `bound` agree
+    with the values, also for values whose denominators the scale does
+    not clear."""
+    G, d = _level_group(kind, s)
+    fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    value = st.builds(lambda q, r: ActionValue(q, r if d else 0, d), fracs, fracs)
+    levels = data.draw(st.lists(value, min_size=1, max_size=4))
+    caps = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * G.rank),
+                              min_size=len(levels), max_size=len(levels)))
+    orbits = [Orbit(f"o{i}", v, 0) for i, v in enumerate(levels)]
+    form = LevelForm.of(G, [o.parts for o in orbits])
+    lifts = [(form.key(o.parts) - form.cap(c), o.level - G.omega(c)) for o, c in zip(orbits, caps)]
+    for ka, va in lifts:
+        assert form.value(ka) == va
+        assert form.key_of(va) == ka
+        assert form.key_of(va + Fraction(1, 7 * form.scale)) is None
+        assert form.cap_of(ka) == cap_with_omega(G, va)
+        for kb, vb in lifts:
+            assert (ka < kb, ka == kb, ka > kb) == (va < vb, va == vb, va > vb)
+            assert form.value(ka - kb) == va - vb
+        # values with a denominator the scale need not clear: near va, so
+        # that each part of the value decides the sign, and anywhere
+        e = Fraction(1, 11 * 13)
+        near = [va, va + e, va - e] + ([va + ActionValue.sqrt(d, e), va - ActionValue.sqrt(d, e)]
+                                       if d else [])
+        for t in near + [t * Fraction(1, 11)
+                         for t in data.draw(st.lists(value, min_size=1, max_size=3))]:
+            n, b = form.bound(t)
+            k = ka * n - b
+            assert (k > 0, k == 0, k < 0) == (va > t, va == t, va < t)
+    for c in caps:
+        assert form.value(form.cap(c)) == G.omega(c)
+        assert form.cap_of(form.cap(c)) == c

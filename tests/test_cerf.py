@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floermini import cerf, hofer
-from floermini.action import ActionValue, NovikovScalar, make_period_group
+from floermini.action import POS_INFINITY, ActionValue, NovikovScalar, make_period_group
 from floermini.cerf import (
     ETA_TOLERANCE,
     AbstractCerfFamily,
@@ -17,14 +17,28 @@ from floermini.cerf import (
     bifurcation_diagram,
     branch_slope,
     classify_events,
+    concat,
     gamma_translate,
     sub_family,
 )
 from floermini.complexes import FilteredComplex, Orbit
-from floermini.continuation import ChainMap, continuation_map, rho_curve, solve_chain_homotopy
+from floermini.config import RunConfig
+from floermini.continuation import (
+    ChainMap,
+    classify_entries,
+    classify_steps,
+    compose_step_maps,
+    continuation_map,
+    dichotomy_constant,
+    rho_curve,
+    solve_chain_homotopy,
+    step_maps,
+    variation_bounds,
+)
 from floermini.errors import EventError, MorseError, NonCerfError, RankMismatchError
 from floermini.morse import MorseFunction1D, _quantize, build_s1_morse
 from floermini.spectral import rho
+from test_cli import swap_config
 from test_morse import _GRID_POINT, _shifted_sine, _trig as _trig_text
 
 BD_FAMILY = "cos(theta) + eta*(3/5)*cos(2*theta + 1/2)"
@@ -188,10 +202,95 @@ def _assert_carried_as_fresh(fam) -> int:
     return carried
 
 
+def _shift_by_values(h, key):
+    """One entry's level shift in ActionValue arithmetic: the level of the
+    target lift minus the source's."""
+    t, s = key
+    u = h.columns[s][t]
+    return (h.target.orbit(t).level - u.valuation()) - h.source.orbit(s).level
+
+
+def _classify_by_values(h, a0, eps):
+    """The thin-or-slide verdicts, entry by entry in ActionValue arithmetic."""
+    thin, slides, violations = [], [], []
+    for key in sorted(h.entries):
+        shift = _shift_by_values(h, key)
+        mag = shift if shift >= 0 else -shift
+        tag = h.provenance.get(key, "")
+        if mag <= eps:
+            if tag in ("pairing", "birth", "death"):
+                thin.append((key, shift))
+            else:
+                violations.append((key, shift, f"thin entry with provenance {tag!r}"))
+        elif mag >= a0 - eps:
+            slides.append((key, shift))
+        else:
+            violations.append((key, shift, "forbidden middle band"))
+    return thin, slides, violations
+
+
+def _gap_by_values(X, excluded):
+    """The filtration gap in ActionValue arithmetic."""
+    gap = POS_INFINITY
+    for src, row in X.boundary.items():
+        for tgt, scalar in row.items():
+            if (src, tgt) not in excluded and (tgt, src) not in excluded:
+                gap = min(gap, X.orbit(src).level - X.orbit(tgt).level + scalar.valuation())
+    return gap
+
+
+def _assert_carried_as_scalar(fam) -> int:
+    """The continuation task as it carries `fam`, against the scalar route
+    in ActionValue arithmetic, for every step in both directions:
+    - the verdicts of `classify_entries` on each step, carried or not, and
+      on the scalar `ChainMap` built from its entries equal the
+      entry-by-entry classification of the built map, at the run's eps and
+      at two eps that put entries in the middle band or among the slides;
+      `classify_steps` equals them all;
+    - `compose_step_maps` equals the step-by-step scalar composite of the
+      built maps;
+    - `dichotomy_constant` equals the minimum over the grid of each slice's
+      gap.
+    Returns the number of carried steps."""
+    a0 = dichotomy_constant(fam)
+    assert a0 == min(_gap_by_values(fam.chain_complex(i), fam.cusp_pairs(i))
+                     for i in range(len(fam.grid)))
+    contributions = variation_bounds(fam).contributions
+    eps_run = ActionValue.rational(max((a + b for a, b in contributions), default=0))
+    if a0 is POS_INFINITY:
+        trials = [eps_run, ActionValue(Fraction(1, 3))]
+    else:
+        trials = [eps_run, a0 * Fraction(1, 3), a0 * Fraction(1, 100)]
+    carried = 0
+    for reverse in (False, True):
+        steps = step_maps(fam, reverse)
+        built = [ChainMap(h.source, h.target, h.entries, h.provenance) for h in steps]
+        want = built[0]
+        for m in built[1:]:
+            want = m.compose_after(want)
+        got = compose_step_maps(steps)
+        assert got.to_json() == want.to_json()
+        assert got.provenance == want.provenance
+        for eps in trials:
+            if not a0 > eps + eps:
+                continue
+            by_steps = classify_steps(steps, a0, eps)
+            for h, m, cls in zip(steps, built, by_steps):
+                want_cls = _classify_by_values(m, a0, eps)
+                for c in (cls, classify_entries(h, a0, eps), classify_entries(m, a0, eps)):
+                    assert (c.thin, c.slides, c.violations) == want_cls
+        carried += sum(h.table is not None for h in steps)
+    return carried
+
+
 class TestCarriedFamily:
     """Between events a slice only re-levels its predecessor's complex: the
     boundary is shared, and the elimination carries while the level order
-    holds."""
+    holds.  The continuation task carries too: a step between events is its
+    table, its shifts are the paired orbits' level changes, runs compose as
+    tables, and the gap is read off one shared entry list.  Closed-form,
+    palindromic, declared and concatenated families all give the scalar
+    route's verdicts, composite and gap."""
 
     @pytest.mark.parametrize("expr", [TWO_EVENT_FAMILY, BD_FAMILY, SLOPE_FAMILY],
                              ids=["two_event", "birth_death", "slope"])
@@ -235,6 +334,50 @@ class TestCarriedFamily:
             assert any(lo[i] <= e <= hi[i] for e in events), (i, branch[i], branch[i + 1])
         if expr == TWO_EVENT_FAMILY:  # rho moves onto the other maximum at the crossing
             assert [(branch[i], branch[i + 1]) for i in changes] == [("b0", "b2")]
+
+    @pytest.mark.parametrize("expr", [TWO_EVENT_FAMILY, BD_FAMILY, SLOPE_FAMILY],
+                             ids=["two_event", "birth_death", "slope"])
+    def test_continuation_carries_as_the_scalar_route(self, expr):
+        fam = MorseCerfFamily(expr, eta_points=65, theta_points=4096)
+        assert _assert_carried_as_scalar(fam) >= 2 * 60
+
+    def test_rotation_loop_relabels_across_the_wrap(self):
+        fam = MorseCerfFamily("cos(theta - 2*pi*eta) + 1/3*cos(2*theta - 4*pi*eta + 1/2)",
+                              eta_points=65, theta_points=4096)
+        assert _assert_carried_as_scalar(fam) == 2 * 64
+        tables = [h.table for h in step_maps(fam)]
+        assert any(any(s != t for s, t in tab.items()) for tab in tables)
+
+    @settings(max_examples=4)
+    @given(seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_palindromic_continuation_carries_as_the_scalar_route(self, seeds):
+        h0, h1 = (hofer.random_trig_function(random.Random(seed))[0] for seed in seeds)
+        try:
+            _assert_carried_as_scalar(_palindromic(h0, h1))
+        except (MorseError, NonCerfError):  # no slice complex, or not a Cerf family
+            assume(False)
+
+    @pytest.mark.parametrize("levels", [[(0, 1), (1, 0), (2, 0)], [(0, 1), (3, 1), (3, 2)]])
+    def test_declared_family_continuation(self, levels):
+        fam = RunConfig(swap_config(levels, bounds=[["1/8", "1/8"], ["1/8", "1/8"]])) \
+            .build_family()
+        assert _assert_carried_as_scalar(fam) == 2 * 2
+
+    def test_declared_family_at_three_scales(self):
+        """Slices whose levels have different denominators: each slice's gap
+        is compared at its own scale."""
+        G = make_period_group([], [])
+        one = NovikovScalar.one(G)
+        complexes = [FilteredComplex(G, [Orbit("x", x, 1), Orbit("y", y, 0)], {"x": {"y": one}})
+                     for x, y in [(1, 0), (Fraction(5, 3), 1), (Fraction(7, 2), 3)]]
+        fam = AbstractCerfFamily(G, complexes, steps=[{"type": "pairing"}] * 2)
+        assert dichotomy_constant(fam) == ActionValue(Fraction(1, 2))
+        assert _assert_carried_as_scalar(fam) == 2 * 2
+
+    def test_concatenated_family_continuation(self):
+        fam = MorseCerfFamily(BD_FAMILY, eta_points=33, theta_points=4096)
+        cc = concat(sub_family(fam, 0.0, 0.5), sub_family(fam, 0.5, 1.0))
+        assert _assert_carried_as_scalar(cc) >= 2 * 60
 
 
 class TestClassify:

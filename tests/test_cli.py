@@ -1,15 +1,18 @@
+import csv
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from floermini import config, hofer
-from floermini.cli import main, run
+from floermini.cli import Runner, main, run
 from floermini.config import MAX_ETA_POINTS, MAX_HOFER_SWEEP, MAX_THETA_POINTS, RunConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,6 +49,10 @@ def swap_config(levels, bounds=None, tasks=("diagram",)):
 
 def read_all(d: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.is_file()}
+
+
+# 2999 Fourier terms, about 80 KB: sympy's parser recurses too deep on it
+LONG_EXPR = " + ".join(f"1/{k}^2*cos({k}*theta)" for k in range(1, 3000))
 
 
 class TestRun:
@@ -254,6 +261,29 @@ class TestRun:
         assert err["error"] == "schema"
         assert f"{field!r}" in err["message"]
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("config_", [
+        pytest.param({"tasks": ["rho"], "morse_function": {"expr": LONG_EXPR}},
+                     id="morse-function"),
+        pytest.param({"tasks": ["diagram"], "family": {"kind": "closed_form", "eta_points": 9,
+                                                       "expr": LONG_EXPR + " + eta*cos(theta)"}},
+                     id="family"),
+    ])
+    def test_long_expression_is_one_structured_error(self, tmp_path, capsys, config_):
+        """The parser's RecursionError on a very long expression is a
+        MorseError: exit 1, one JSON line on stderr, no traceback."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config_))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "engine"
+        assert err["message"].startswith("cannot parse expression '1/1^2*cos(1*theta) + ")
+        assert "characters): maximum recursion depth exceeded" in err["message"]
+        assert len(err["message"]) < 300
 
     def test_sizes_at_the_caps_are_admitted(self):
         raw = {"tasks": ["rho"], "morse_function": dict(COS, grid=MAX_THETA_POINTS),
@@ -752,6 +782,59 @@ class TestRendering:
         run(GOLDEN / "constant_diagram.json", tmp_path)
         svg = (tmp_path / "diagram.svg").read_text()
         assert svg.count("<polyline") == 2
+
+
+class TestGoldenDigests:
+    """SHA-256 digests of every artifact, with stdout, stderr and the exit
+    code, of the three `cerf_cli` families at 257 x 16384
+    (golden/cerf_*.json) and of the rotation loop (golden/rotation_loop.json),
+    recorded in golden/cerf_digests.json.  Two critical values of two_event
+    lie within 4 ulp of a rounding boundary of the 1e-12 value quantum
+    (ROADMAP item 7): under another libm they may round the other way, and
+    its branches.csv digest with them."""
+
+    DIGESTS = json.loads((GOLDEN / "cerf_digests.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_artifacts_match_the_recorded_digests(self, tmp_path, capsys, name):
+        code = main(["run", str(GOLDEN / f"{name}.json"), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        got = {
+            "exit": code,
+            "stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest(),
+            "artifacts": {n: hashlib.sha256(b).hexdigest() for n, b in read_all(tmp_path).items()},
+        }
+        assert got == self.DIGESTS[name]
+
+
+class TestRotationLoop:
+    """The generic rotation loop cos(theta - 2 pi eta) + 1/3 cos(2 theta -
+    4 pi eta + 1/2) at 65 x 4096: two branches and no events, so the
+    continuation composite is the identity, all pairing, and rho is
+    constant.  Orbit labels follow theta order, and a critical point wraps
+    past theta = 0 along the loop, so rho's witness changes label while it
+    stays on one branch of the diagram."""
+
+    def test_loop_is_the_identity_with_constant_rho_on_one_branch(self, tmp_path):
+        cfg = RunConfig(json.loads((GOLDEN / "rotation_loop.json").read_text()))
+        runner = Runner(cfg, tmp_path)
+        runner.run_tasks()
+        assert runner.exit_code == 0
+        res = runner.report
+        assert (res["diagram"]["branches"], res["diagram"]["cusps"],
+                res["diagram"]["crossings"]) == (2, 0, 0)
+        assert res["continuation"]["map"] == [
+            {"from": o, "to": o, "scalar": [{"cap": [], "coeff": "1"}], "provenance": "pairing"}
+            for o in ("c0", "c1")]
+        rows = list(csv.DictReader((tmp_path / "rho_curve.csv").read_text().splitlines()))
+        assert len(rows) == 65
+        assert {r["value"] for r in rows} == {"-1.31552285237"}
+        assert Counter(r["peak_orbit"] for r in rows) == {"c0": 23, "c1": 42}
+        tracks = runner.diagram().tracks
+        branches = {next(b for b, o in tracks[i].items() if o == r["peak_orbit"])
+                    for i, r in enumerate(rows)}
+        assert len(branches) == 1
 
 
 class TestDeterminism:

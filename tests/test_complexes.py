@@ -12,6 +12,7 @@ from floermini.action import (
 )
 from floermini.complexes import FilteredComplex, NovikovChain, Orbit
 from floermini.errors import (
+    BasisMismatchError,
     ComplexStructureError,
     DegreeError,
     FiltrationError,
@@ -104,6 +105,16 @@ class TestBoundary:
         orbits = [Orbit("a", 0, 1), Orbit("b", 0, 0)]
         with pytest.raises(FiltrationError):
             FilteredComplex(G, orbits, {"a": {"b": NovikovScalar.one(G)}})
+
+    @pytest.mark.parametrize("group", [make_period_group([], []),
+                                       make_period_group([ActionValue.sqrt(2)], [0])],
+                             ids=["trivial", "sqrt2"])
+    def test_levels_over_another_root_are_refused(self, group):
+        """One level form has one square root: levels over sqrt(3) beside a
+        sqrt(2) level or generator are refused when the complex is built."""
+        orbits = [Orbit("a", ActionValue.sqrt(3), 1), Orbit("b", ActionValue.sqrt(2), 0)]
+        with pytest.raises(BasisMismatchError, match="mixed irrational bases"):
+            FilteredComplex(group, orbits, {})
 
     def test_nonzero_square_rejected(self, trivial_group):
         # a -> b -> c with unit entries: d(d a) = c

@@ -122,7 +122,7 @@ class TestBuildS1:
         crit = f.critical_points()
         G = make_period_group([], [])
         like = _circle_complex(f, crit, Fraction(1), G).complex
-        swapped = [CriticalPoint(p.theta, -p.value, p.index, -p.raw_value) for p in crit]
+        swapped = [CriticalPoint(p.theta, -p.quanta, p.index, -p.raw_value) for p in crit]
         with pytest.raises(MorseError) as fresh:
             _circle_complex(f, swapped, Fraction(1), G)
         with pytest.raises(MorseError) as carried:

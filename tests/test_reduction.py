@@ -168,7 +168,7 @@ def test_updates_never_touch_caller_dicts(seed, kind):
     columns.append((dep, {"c0": one, "c1": s, "c4": -one}))
     inputs = [d for col in columns for d in col]
     before = _snapshot(inputs)
-    reduced, kernel = orthogonalize(columns, weight=lambda k: ActionValue(0))
+    reduced, kernel = orthogonalize(columns, term=lambda k, s: 0)
     assert kernel
     assert _snapshot(inputs) == before
 
@@ -208,12 +208,12 @@ def test_decomposition_preimage_is_exact_and_level_minimal(seed, kind):
         assert X.boundary_of(NovikovChain(G, pre)) == target
         # no kernel vector lowers the level, not even one scaled to cancel
         # a coordinate of the preimage
-        level = vec_level(pre, X.weight)
+        level = vec_level(pre, X.term)
         for z in dec.kernel_basis:
             scalars = [_scalar(rng, G)]
             scalars += [-(pre[i] / z.vec[i]) for i in z.vec if i in pre]
             for u in scalars:
-                assert vec_level(vec_axpy(dict(pre), u, z.vec), X.weight) >= level
+                assert vec_level(vec_axpy(dict(pre), u, z.vec), X.term) >= level
         # off the image: a chain with a nonzero boundary, or a boundary
         # plus a homology class representative
         for oid in X.orbit_ids(k - 1):
@@ -237,7 +237,7 @@ def test_kernel_basis_matches_one_elimination_of_boundaries_and_relations(seed, 
         dec = X.decomposition(k)
         bounds = X.boundary_basis(k)
         cols = [(r.vec, {}) for r in bounds] + [(z, {}) for z in dec.kernel]
-        want, _ = orthogonalize(cols, X.weight)
+        want, _ = orthogonalize(cols, X.term)
         got = dec.kernel_basis
         assert [(r.pivot, r.vec) for r in got] == [(r.pivot, r.vec) for r in want]
         assert all(r.vec is b.vec and r.pivot == b.pivot for r, b in zip(got, bounds))
